@@ -46,8 +46,12 @@ use crate::Provenance;
 /// queue-delay and latency-quantile fields); v8 adds the out-of-order
 /// core model (`CoreConfig` grew the `model` field, entering every
 /// fingerprint, and `RunLite` grew the ROB-occupancy / RS-LSQ-stall /
-/// forwarding / flush fields).
-pub const CACHE_SCHEMA_VERSION: u32 = 9;
+/// forwarding / flush fields); v9 adds the main-loop engine and prefetch
+/// bandwidth-guard knobs (two `SystemConfig` fields, entering every
+/// fingerprint); v10 removes both again (results are bit-identical, but
+/// every config fingerprint changes — the bump keeps the orphaned v9
+/// entries out of the way, as v3 did).
+pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
 /// How long a lock file may sit untouched before a waiter assumes its
 /// owner died and breaks it. Generous: a legitimate `--full` eight-core

@@ -10,8 +10,6 @@ use hermes_prefetch::PrefetcherKind;
 use hermes_probe::ProbeConfig;
 use hermes_vm::VmConfig;
 
-use crate::sched::SchedulerModel;
-
 /// Complete description of a simulated system.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -80,23 +78,12 @@ pub struct SystemConfig {
     /// Idle-cycle fast-forward in [`crate::System::run`]: when every core
     /// is blocked on the memory system and no hierarchy event is due,
     /// jump simulated time straight to the next event instead of ticking
-    /// through dead cycles. Statistics are provably identical either way
-    /// (stall cycles are attributed in bulk); this is purely a wall-clock
-    /// optimisation for memory-bound workloads.
+    /// through dead cycles. Statistics are identical either way (stall
+    /// cycles are attributed in bulk); this is purely a wall-clock
+    /// optimisation for memory-bound workloads. Off selects the
+    /// reference loop, which ticks every component on every cycle; the
+    /// fast-forward equivalence tests compare against it.
     pub fast_forward: bool,
-    /// Main-loop engine: the event-driven calendar queue (the default)
-    /// or the legacy per-cycle tick loop. The two are cycle-exact on
-    /// every config — see [`crate::sched`] — so this knob only affects
-    /// wall-clock time (and exists so equivalence stays testable).
-    pub scheduler: SchedulerModel,
-    /// Extends the PR 6 DRAM bandwidth guard to the prefetcher zoo: when
-    /// on, a prefetch issue at the last level is dropped if its DRAM
-    /// channel's read queue is more than a quarter occupied — the same
-    /// [`hermes_dram::MemoryController::read_queue_pressure`] gate Hermes
-    /// speculative reads consult. Off by default: the historical
-    /// prefetcher behaviour (and every golden digest) is unchanged
-    /// unless a config opts in.
-    pub pf_bandwidth_guard: bool,
 }
 
 impl SystemConfig {
@@ -120,8 +107,6 @@ impl SystemConfig {
             probe: None,
             mshr_retry: 4,
             fast_forward: true,
-            scheduler: SchedulerModel::default(),
-            pf_bandwidth_guard: false,
         }
     }
 
@@ -250,20 +235,6 @@ impl SystemConfig {
     /// changes results, only wall-clock time).
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
-        self
-    }
-
-    /// Selects the main-loop engine (calendar queue by default; never
-    /// changes results, only wall-clock time — see [`crate::sched`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerModel) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Gates prefetcher issues on DRAM read-queue pressure, the same way
-    /// Hermes speculative reads are gated (off by default).
-    pub fn with_pf_bandwidth_guard(mut self, on: bool) -> Self {
-        self.pf_bandwidth_guard = on;
         self
     }
 

@@ -1286,13 +1286,6 @@ impl Hierarchy {
         if line.page_number() != trigger.page_number() {
             return;
         }
-        // Optional bandwidth guard (off by default): drop the candidate
-        // when its channel's read queue is past quarter occupancy — the
-        // same headroom rule Hermes applies to speculative reads — so
-        // prefetches stop displacing demand fills under contention.
-        if self.cfg.pf_bandwidth_guard && !self.spec_read_headroom(line, now) {
-            return;
-        }
         if self.levels[last].mshr_in_use(core) + PF_MSHR_RESERVE
             >= self.levels[last].mshr_capacity(core)
         {

@@ -21,12 +21,10 @@ pub mod config;
 pub mod hierarchy;
 pub mod power;
 pub mod report;
-pub mod sched;
 pub mod stats;
 pub mod system;
 pub mod translate;
 
 pub use config::SystemConfig;
-pub use sched::SchedulerModel;
 pub use stats::RunStats;
 pub use system::System;

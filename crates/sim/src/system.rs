@@ -9,7 +9,6 @@ use hermes_types::Cycle;
 use crate::config::SystemConfig;
 use crate::hierarchy::Hierarchy;
 use crate::power::{PowerBreakdown, PowerModel};
-use crate::sched::{CalendarQueue, SchedulerModel};
 use crate::stats::{CoreRunStats, RunStats};
 
 /// A full simulated system: cores plus the shared memory hierarchy.
@@ -25,7 +24,6 @@ pub struct System {
     specs: Vec<WorkloadSpec>,
     cycle: Cycle,
     fast_forward: bool,
-    scheduler: SchedulerModel,
     finished_buf: Vec<(usize, u64, ServedBy)>,
 }
 
@@ -55,7 +53,6 @@ impl System {
         Self {
             cores,
             fast_forward: cfg.fast_forward,
-            scheduler: cfg.scheduler,
             hierarchy: Hierarchy::new(cfg),
             specs,
             cycle: 0,
@@ -106,60 +103,6 @@ impl System {
         self.cycle += 1;
     }
 
-    /// One iteration of the main loop under either scheduler model:
-    /// advance simulated time to the next cycle with due work, then run
-    /// that cycle.
-    ///
-    /// `cal` is `Some` exactly in calendar mode. The calendar iteration
-    /// simulates the identical trajectory to `fast_forward_jump` +
-    /// [`System::step`], but ticks only due components: ticking the
-    /// hierarchy strictly before its `next_event_at` is a no-op, and
-    /// ticking a core strictly before its `next_work_at` is equivalent
-    /// to `skip_stalled(1)` (the same contract idle-cycle fast-forward
-    /// is built on), so skipping them is stat-neutral. Due-ness of each
-    /// core is evaluated *after* this cycle's load completions are
-    /// delivered, since a delivery can wake a core at this very cycle.
-    fn advance_and_step(&mut self, cal: Option<&mut CalendarQueue>) {
-        let Some(cal) = cal else {
-            self.fast_forward_jump();
-            self.step();
-            return;
-        };
-        // Jump the gap to the earliest published event (gated on the
-        // same knob as the tick loop's fast-forward; with it off the
-        // loop still steps every cycle, only skipping idle components).
-        let target = cal.next_due(self.cycle);
-        if self.fast_forward && target != Cycle::MAX && target > self.cycle {
-            let skipped = target - self.cycle;
-            for core in &mut self.cores {
-                core.skip_stalled(skipped);
-            }
-            self.cycle = target;
-        }
-        let now = self.cycle;
-        if self.hierarchy.next_event_at() <= now {
-            self.hierarchy.tick(now);
-        }
-        self.hierarchy.drain_finished(&mut self.finished_buf);
-        let completions = std::mem::take(&mut self.finished_buf);
-        for &(core, token, served) in &completions {
-            self.cores[core].finish_load(token, now, served);
-        }
-        self.finished_buf = completions;
-        for core in &mut self.cores {
-            if core.next_work_at() <= now {
-                core.tick(now, &mut self.hierarchy);
-            } else {
-                core.skip_stalled(1);
-            }
-        }
-        self.cycle += 1;
-        cal.publish(0, self.hierarchy.next_event_at());
-        for (i, core) in self.cores.iter().enumerate() {
-            cal.publish(1 + i, core.next_work_at());
-        }
-    }
-
     /// Runs `warmup` instructions per core untimed (statistics discarded),
     /// then measures until every core has retired `sim` instructions.
     ///
@@ -173,22 +116,13 @@ impl System {
         let n = self.cores.len();
         let budget = (warmup + sim) * 400 + 2_000_000;
 
-        // Calendar mode owns a bucket queue with one source per
-        // time-bearing component: source 0 is the hierarchy (event
-        // heap, retry queue, page walks, DRAM channels), sources 1..=n
-        // are the cores. It persists across the warmup/measure boundary
-        // (resetting statistics never moves an event).
-        let mut cal = match self.scheduler {
-            SchedulerModel::Calendar => Some(CalendarQueue::new(1 + n)),
-            SchedulerModel::Tick => None,
-        };
-
         // Phase 1: warmup. The gap jump runs *before* each step, off the
         // state the previous step left behind, so the cycle recorded
         // after any step (measure boundaries, snapshots) is untouched by
         // skipping.
         while self.cores.iter().any(|c| c.retired() < warmup) {
-            self.advance_and_step(cal.as_mut());
+            self.fast_forward_jump();
+            self.step();
             assert!(self.cycle < budget, "no forward progress during warmup");
         }
         for c in &mut self.cores {
@@ -208,7 +142,8 @@ impl System {
         let mut finish_cycle: Vec<Option<Cycle>> = vec![None; n];
         let mut snapshots: Vec<Option<CoreRunStats>> = vec![None; n];
         while snapshots.iter().any(|s| s.is_none()) {
-            self.advance_and_step(cal.as_mut());
+            self.fast_forward_jump();
+            self.step();
             assert!(
                 self.cycle < measure_start + budget,
                 "no forward progress during measurement"

@@ -18,6 +18,7 @@ use hermes_repro::hermes_sim::translate::translate;
 use hermes_repro::hermes_sim::{system::run_one, RunStats, System, SystemConfig};
 use hermes_repro::hermes_trace::suite;
 use hermes_repro::hermes_types::{Cycle, LineAddr, VirtAddr, SHARED_BASE};
+use hermes_repro::hermes_vm::VmConfig;
 
 /// Canonical rendering of every deterministic counter in a [`RunStats`],
 /// coherence counters included.
@@ -680,26 +681,51 @@ fn multicore_sharing_produces_invalidation_traffic() {
 
 #[test]
 fn fast_forward_is_cycle_exact_with_coherence() {
-    let specs = suite::sharing_suite(500);
-    for hermes in [false, true] {
-        let cfg = |ff| {
-            let mut c = SystemConfig {
-                cores: 2,
-                ..SystemConfig::baseline_1c()
-            }
-            .with_coherence(CoherenceConfig::baseline())
-            .with_fast_forward(ff);
-            if hermes {
-                c = c.with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-            }
-            c
-        };
-        let off = System::new(cfg(false), &specs).run(2_000, 6_000);
-        let on = System::new(cfg(true), &specs).run(2_000, 6_000);
+    // 4 coherent cores flood the L1 MSHRs, so the retry queue holds
+    // thousands of parked accesses; the 2-core coherence + vm + POPET
+    // mix stresses quiescence (page walks, upgrades and speculative
+    // reads in flight at once). Fast-forward must not move any
+    // statistic: the comparison is the full `Debug` rendering.
+    let mesi = |cores| {
+        SystemConfig {
+            cores,
+            ..SystemConfig::baseline_1c()
+        }
+        .with_coherence(CoherenceConfig::baseline())
+    };
+    let popet = HermesConfig::hermes_o(PredictorKind::Popet);
+    let cases = [
+        ("2c", mesi(2), suite::sharing_suite(500), 2_000, 6_000),
+        (
+            "2c+popet",
+            mesi(2).with_hermes(popet),
+            suite::sharing_suite(500),
+            2_000,
+            6_000,
+        ),
+        ("4c", mesi(4), suite::sharing_suite(500), 1_000, 4_000),
+        (
+            "4c+popet",
+            mesi(4).with_hermes(popet),
+            suite::sharing_suite(500),
+            1_000,
+            4_000,
+        ),
+        (
+            "2c+vm+popet",
+            mesi(2).with_vm(VmConfig::baseline()).with_hermes(popet),
+            suite::sharing_suite(250),
+            1_000,
+            5_000,
+        ),
+    ];
+    for (name, cfg, specs, warmup, sim) in cases {
+        let off = System::new(cfg.clone().with_fast_forward(false), &specs).run(warmup, sim);
+        let on = System::new(cfg.with_fast_forward(true), &specs).run(warmup, sim);
         assert_eq!(
-            digest(&off),
-            digest(&on),
-            "fast-forward changed coherent results (hermes={hermes})"
+            format!("{off:?}"),
+            format!("{on:?}"),
+            "fast-forward changed coherent results ({name})"
         );
     }
 }
