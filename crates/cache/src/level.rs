@@ -121,8 +121,8 @@ pub struct LevelStats {
     pub fills: u64,
     /// Dirty victims evicted by fills (writebacks pushed down).
     pub dirty_evictions: u64,
-    /// Requests rejected because every MSHR was in use (each triggers a
-    /// retry in the hierarchy engine).
+    /// Requests rejected because every MSHR was in use (the hierarchy
+    /// engine parks or re-schedules each one).
     pub mshr_rejections: u64,
     /// Lines invalidated by coherence actions (remote-store
     /// invalidations and inclusive-directory back-invalidations); zero
@@ -142,9 +142,9 @@ pub struct CacheLevel<W> {
     /// that can alter the outcome of a parked (MSHR-rejected) access:
     /// a fill (the parked line could become resident), a successful
     /// MSHR allocation (the parked line could now merge), or an MSHR
-    /// completion (a register freed). The hierarchy's retry queue
-    /// compares epochs to skip re-walking the tag array for attempts
-    /// that are guaranteed to fail again.
+    /// completion (a register freed). The hierarchy re-attempts accesses
+    /// parked at the first level only after this moves, so no attempt
+    /// that is guaranteed to fail again runs.
     epochs: Vec<u64>,
 }
 
@@ -347,16 +347,6 @@ impl<W> CacheLevel<W> {
     #[inline]
     pub fn change_epoch(&self, core: usize) -> u64 {
         self.epochs[self.slot(core)]
-    }
-
-    /// Charges the counters of one guaranteed-to-fail retry attempt
-    /// without walking the tag array or MSHR table: a tag access that
-    /// misses plus an MSHR rejection — exactly what the full re-attempt
-    /// would have recorded.
-    pub fn count_rejected_retry(&mut self) {
-        self.stats.accesses += 1;
-        self.stats.misses += 1;
-        self.stats.mshr_rejections += 1;
     }
 
     /// Whether a miss to `line` is outstanding for `core`.

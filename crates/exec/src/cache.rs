@@ -50,8 +50,11 @@ use crate::Provenance;
 /// bandwidth-guard knobs (two `SystemConfig` fields, entering every
 /// fingerprint); v10 removes both again (results are bit-identical, but
 /// every config fingerprint changes — the bump keeps the orphaned v9
-/// entries out of the way, as v3 did).
-pub const CACHE_SCHEMA_VERSION: u32 = 10;
+/// entries out of the way, as v3 did); v11 parks MSHR-rejected
+/// first-level accesses until the level changes instead of polling them
+/// (configs that reject first-level accesses get new results under
+/// unchanged fingerprints, so their v10 entries must not be reused).
+pub const CACHE_SCHEMA_VERSION: u32 = 11;
 
 /// How long a lock file may sit untouched before a waiter assumes its
 /// owner died and breaks it. Generous: a legitimate `--full` eight-core

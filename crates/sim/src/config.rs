@@ -73,7 +73,10 @@ pub struct SystemConfig {
     /// timing: a probed run and an unprobed run of the same workload
     /// produce identical statistics.
     pub probe: Option<ProbeConfig>,
-    /// Cycles a retry waits when an MSHR is full.
+    /// Cycles an intermediate- or last-level lookup waits before it looks
+    /// up again when that level's MSHR table is full. First-level
+    /// accesses do not poll: they park until the first level changes
+    /// (see [`crate::hierarchy`]).
     pub mshr_retry: u32,
     /// Idle-cycle fast-forward in [`crate::System::run`]: when every core
     /// is blocked on the memory system and no hierarchy event is due,

@@ -13,7 +13,7 @@
 //!
 //! * **first level** (always private) — the level the core pipeline
 //!   talks to: it tracks load tokens and store write-allocates in its
-//!   MSHRs and is where full-MSHR accesses park in the retry queue;
+//!   MSHRs and is where full-MSHR accesses park until it changes;
 //! * **intermediate levels** — pure lookup/merge stages;
 //! * **last level** (always shared) — hosts the data prefetchers, feeds
 //!   the memory controller, and defines the *off-chip boundary*: a load
@@ -90,10 +90,11 @@
 //!   refills the dTLB;
 //! * an **STLB miss** starts (or joins) a hardware page walk: the walker
 //!   issues the radix levels' PTE reads *through this cache hierarchy* —
-//!   they occupy MSHRs, fill and pollute the caches, park in the retry
-//!   queue when tables are full, and can themselves go off-chip — with a
-//!   per-core page-walk cache short-circuiting the levels it has seen
-//!   before. Same-page requests merge into the walk in flight.
+//!   they occupy MSHRs, fill and pollute the caches, park with the
+//!   core's loads when the first-level table is full, and can themselves
+//!   go off-chip — with a per-core page-walk cache short-circuiting the
+//!   levels it has seen before. Same-page requests merge into the walk
+//!   in flight.
 //!
 //! The deferred load's POPET prediction still happens at issue, off the
 //! virtual address (§6.1.3); what waits for the PFN is the *direct DRAM
@@ -103,18 +104,25 @@
 //! address is known. Off-chip load latency keeps counting from original
 //! issue, so walk time shows up exactly where a real core would feel it.
 //!
-//! ## Retry queue
+//! ## Parked first-level accesses
 //!
-//! First-level accesses rejected by a full MSHR table park in a retry
-//! queue and re-execute the full access (tag lookup included, which is
-//! deliberately re-charged to the power model) after `mshr_retry`
-//! cycles. The queue keeps the historical `Vec` + swap-remove scan —
-//! whose exact (path-dependent) processing order the regression goldens
-//! are bit-for-bit sensitive to, ruling out a reordering container like
-//! a min-heap — but caches the minimum due time so the common
-//! nothing-due tick is a single comparison instead of an O(n) sweep of
-//! every pending entry. The cached minimum also feeds
-//! [`Hierarchy::next_event_at`] for idle-cycle fast-forward.
+//! A first-level access rejected by a full MSHR table parks on its
+//! core's lists: loads and page-walker reads in one, stores in a FIFO in
+//! the order they parked. Nothing re-polls them. A rejected access can
+//! only succeed once the level changes — a fill, or an MSHR allocation or
+//! completion, each of which moves [`CacheLevel::change_epoch`] — so a
+//! core's lists are re-attempted only in the first tick after its epoch
+//! moved (a *wake*). A wake peeks at the level without charging it: every
+//! parked read it can now admit (line resident, miss outstanding to
+//! merge into, or a register free) tries again, then stores drain from
+//! the head until the next one could not be admitted. So beyond each
+//! access's first, rejected attempt, only attempts that succeed reach
+//! the tag array and count in `l1_accesses` and the level statistics.
+//! While a wake is pending, [`Hierarchy::next_event_at`] reports the
+//! next cycle, so idle-cycle fast-forward never skips one. Intermediate
+//! and last-level lookups rejected by their MSHR tables still
+//! re-schedule themselves `mshr_retry` cycles later through the event
+//! queue.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -237,62 +245,30 @@ impl Ord for HeapEntry {
     }
 }
 
-/// A first-level access deferred by MSHR exhaustion, waiting in the
-/// retry queue.
+/// A first-level load or page-walker read rejected by a full MSHR
+/// table, parked (with its line) until the first level changes.
 #[derive(Debug, Clone, Copy)]
-struct Retry {
-    core: usize,
-    line: LineAddr,
-    token: Option<u64>,
-    is_store: bool,
-    pc: u64,
-    /// `Some` for a parked page-table-walker access.
-    walk: Option<u64>,
-    /// First-level [`CacheLevel::change_epoch`] observed when the access
-    /// parked. While it still matches at retry time, nothing that could
-    /// admit the access has happened, so the re-attempt short-circuits
-    /// to its accounting side effects.
+enum ParkedRead {
+    Load { token: u64, pc: u64 },
+    Walk { walk: u64 },
+}
+
+/// One core's parked first-level accesses (see the module docs).
+#[derive(Debug, Default)]
+struct ParkLists {
+    /// Loads and walker reads as `(line, read)` in park order.
+    reads: Vec<(LineAddr, ParkedRead)>,
+    /// Stores as `(line, pc)` in park order; a wake drains them from the
+    /// head.
+    stores: VecDeque<(LineAddr, u64)>,
+    /// The first level's change epoch when the lists were last attempted
+    /// (or, if they were empty, when the first access parked).
     epoch: u64,
 }
 
-/// The retry queue in struct-of-arrays layout: due times live in their
-/// own dense vector so the per-tick sweep touches 8 bytes per
-/// parked-but-not-due entry instead of the whole payload (under MSHR
-/// saturation the queue holds thousands of entries and is re-scanned
-/// every tick). `push`/`swap_remove` keep the two vectors in lockstep,
-/// preserving the exact legacy scan order bit-for-bit.
-#[derive(Debug, Default)]
-struct RetryQueue {
-    at: Vec<Cycle>,
-    body: Vec<Retry>,
-}
-
-impl RetryQueue {
-    #[inline]
-    fn len(&self) -> usize {
-        self.at.len()
-    }
-
-    #[inline]
-    fn push(&mut self, at: Cycle, r: Retry) {
-        self.at.push(at);
-        self.body.push(r);
-    }
-
-    #[inline]
-    fn at(&self, i: usize) -> Cycle {
-        self.at[i]
-    }
-
-    #[inline]
-    fn swap_remove(&mut self, i: usize) -> Retry {
-        self.at.swap_remove(i);
-        self.body.swap_remove(i)
-    }
-
-    /// Minimum due time across the queue (`Cycle::MAX` when empty).
-    fn min_at(&self) -> Cycle {
-        self.at.iter().copied().min().unwrap_or(Cycle::MAX)
+impl ParkLists {
+    fn is_empty(&self) -> bool {
+        self.reads.is_empty() && self.stores.is_empty()
     }
 }
 
@@ -356,7 +332,8 @@ pub struct CoreHierStats {
     pub walks_completed: u64,
     /// Sum over completed walks of STLB-miss-to-PFN latency in cycles.
     pub walk_cycles_sum: u64,
-    /// Cache accesses issued by the page-table walker (retries included).
+    /// Cache accesses issued by the page-table walker, counting each real
+    /// re-attempt of a parked read once more.
     pub walk_mem_accesses: u64,
     /// Radix levels skipped thanks to the page-walk cache.
     pub pwc_levels_skipped: u64,
@@ -510,13 +487,14 @@ pub struct Hierarchy {
     stats: Vec<CoreHierStats>,
     dram_buf: Vec<Completion>,
     pf_buf: Vec<PrefetchReq>,
-    /// Deferred first-level accesses (exact legacy scan order — see
-    /// module docs).
-    retries: RetryQueue,
-    /// Cached `min(retries[..].at)` (`Cycle::MAX` when empty): the O(1)
-    /// nothing-due test for `tick` and the retry term of
-    /// [`Hierarchy::next_event_at`].
-    retry_min: Cycle,
+    /// Per-core parked first-level accesses (see module docs).
+    parked: Vec<ParkLists>,
+    /// Whether any core's lists are non-empty: keeps the per-cycle wake
+    /// check a single test while nothing is parked.
+    parked_any: bool,
+    /// The cycle of the latest [`Hierarchy::tick`]; a pending wake runs
+    /// in the tick after it.
+    now: Cycle,
     /// Write-permission upgrades in flight, keyed by (core, line): a
     /// second store to the same line while one travels is subsumed by it
     /// instead of spawning a duplicate directory transaction.
@@ -606,8 +584,9 @@ impl Hierarchy {
             stats: vec![CoreHierStats::default(); n],
             dram_buf: Vec::new(),
             pf_buf: Vec::new(),
-            retries: RetryQueue::default(),
-            retry_min: Cycle::MAX,
+            parked: (0..n).map(|_| ParkLists::default()).collect(),
+            parked_any: false,
+            now: 0,
             pending_upgrades: std::collections::HashSet::new(),
             filters: (0..n).map(|_| SpecReadFilter::new()).collect(),
             coh_tables: (0..n).map(|_| CohEventTable::new()).collect(),
@@ -722,7 +701,8 @@ impl Hierarchy {
     }
 
     /// The earliest cycle at which this hierarchy has any work to do —
-    /// the next scheduled event, pending retry, or DRAM completion.
+    /// the next scheduled event, pending wake of parked accesses, or DRAM
+    /// completion.
     /// `Cycle::MAX` when fully quiescent. Drives idle-cycle fast-forward
     /// in [`crate::System::run`].
     pub fn next_event_at(&self) -> Cycle {
@@ -730,7 +710,9 @@ impl Hierarchy {
         if let Some(Reverse(e)) = self.events.peek() {
             at = at.min(e.at);
         }
-        at = at.min(self.retry_min);
+        if self.parked_any && (0..self.parked.len()).any(|c| self.wake_pending(c)) {
+            at = at.min(self.now + 1);
+        }
         if let Some(d) = self.dram.next_completion_at() {
             at = at.min(d);
         }
@@ -858,7 +840,8 @@ impl Hierarchy {
     }
 
     /// First-level access for a load or store at `now` (also re-entered
-    /// from the retry heap).
+    /// by a wake). Returns `false` when a full MSHR table rejected it; the
+    /// caller parks it.
     fn access_first(
         &mut self,
         core: usize,
@@ -867,7 +850,7 @@ impl Hierarchy {
         is_store: bool,
         pc: u64,
         now: Cycle,
-    ) {
+    ) -> bool {
         self.stats[core].l1_accesses += 1;
         let res = self.levels[0].access(core, line, pc_sig(pc));
         if res.hit {
@@ -893,9 +876,9 @@ impl Hierarchy {
                     },
                 );
             }
-            return;
+            return true;
         }
-        // A retried access reports its first-level miss again — the
+        // A re-attempted access reports its first-level miss again — the
         // repeat makes MSHR-full structural stalls visible in the trace.
         if let (Some(p), Some(tok)) = (&mut self.probe, token) {
             p.on_load_event(core, tok, now, "l1_miss");
@@ -923,28 +906,87 @@ impl Hierarchy {
                         walk: false,
                     },
                 );
+                true
             }
-            Ok(false) => {}
-            Err(_) => {
-                // Structural stall: retry the whole first-level access
-                // after the retry delay (the repeated tag lookup is
-                // charged to the power model).
-                let at = now + self.cfg.mshr_retry as Cycle;
-                self.retry_min = self.retry_min.min(at);
-                self.retries.push(
-                    at,
-                    Retry {
-                        core,
-                        line,
-                        token,
-                        is_store,
-                        pc,
-                        walk: None,
-                        epoch: self.levels[0].change_epoch(core),
-                    },
-                );
-            }
+            Ok(false) => true,
+            Err(_) => false,
         }
+    }
+
+    /// A core load's first-level access, parked if the MSHRs are full.
+    fn load_first(&mut self, core: usize, line: LineAddr, token: u64, pc: u64, now: Cycle) {
+        if !self.access_first(core, line, Some(token), false, pc, now) {
+            self.park(core)
+                .reads
+                .push((line, ParkedRead::Load { token, pc }));
+        }
+    }
+
+    /// A core store's first-level access, parked behind any older parked
+    /// stores if the MSHRs are full.
+    fn store_first(&mut self, core: usize, line: LineAddr, pc: u64, now: Cycle) {
+        if !self.access_first(core, line, None, true, pc, now) {
+            self.park(core).stores.push_back((line, pc));
+        }
+    }
+
+    /// `core`'s park lists, about to receive a rejected access. Lists
+    /// that were empty take the current epoch; non-empty ones keep
+    /// theirs, so a wake already pending stays pending.
+    fn park(&mut self, core: usize) -> &mut ParkLists {
+        let epoch = self.levels[0].change_epoch(core);
+        self.parked_any = true;
+        let p = &mut self.parked[core];
+        if p.is_empty() {
+            p.epoch = epoch;
+        }
+        p
+    }
+
+    /// Whether `core` has parked accesses and its first level changed
+    /// since they were last attempted.
+    fn wake_pending(&self, core: usize) -> bool {
+        let p = &self.parked[core];
+        !p.is_empty() && p.epoch != self.levels[0].change_epoch(core)
+    }
+
+    /// Whether a first-level access by `core` to `line` is bound to be
+    /// rejected: the line is neither resident nor outstanding and every
+    /// MSHR register is taken. A pure peek; nothing is charged.
+    fn first_rejects(&self, core: usize, line: LineAddr) -> bool {
+        let l1 = &self.levels[0];
+        l1.mshr_in_use(core) == l1.mshr_capacity(core)
+            && !l1.probe(core, line)
+            && !l1.mshr_contains(core, line)
+    }
+
+    /// Re-attempts `core`'s parked accesses that the first level can now
+    /// admit: every such read, then stores from the head until one would
+    /// be rejected. The others stay parked without an attempt.
+    fn wake(&mut self, core: usize, now: Cycle) {
+        let reads = std::mem::take(&mut self.parked[core].reads);
+        for (line, r) in reads {
+            if self.first_rejects(core, line) {
+                self.parked[core].reads.push((line, r));
+                continue;
+            }
+            let admitted = match r {
+                ParkedRead::Load { token, pc } => {
+                    self.access_first(core, line, Some(token), false, pc, now)
+                }
+                ParkedRead::Walk { walk } => self.walk_access(core, line, walk, now),
+            };
+            debug_assert!(admitted, "admissible parked read rejected");
+        }
+        while let Some(&(line, pc)) = self.parked[core].stores.front() {
+            if self.first_rejects(core, line) {
+                break;
+            }
+            let admitted = self.access_first(core, line, None, true, pc, now);
+            debug_assert!(admitted, "admissible parked store rejected");
+            self.parked[core].stores.pop_front();
+        }
+        self.parked[core].epoch = self.levels[0].change_epoch(core);
     }
 
     /// Translation request under the vm subsystem: consults the dTLB,
@@ -1028,21 +1070,28 @@ impl Hierarchy {
             (w.core, w.steps.pop_front())
         };
         match step {
-            Some(line) => self.walk_access(core, line, walk, now),
+            Some(line) => {
+                if !self.walk_access(core, line, walk, now) {
+                    self.park(core)
+                        .reads
+                        .push((line, ParkedRead::Walk { walk }));
+                }
+            }
             None => self.complete_walk(walk, now),
         }
     }
 
     /// One PTE read entering the hierarchy at the first level. Mirrors
-    /// [`Hierarchy::access_first`] — including MSHR merging and the retry
-    /// queue — but resumes the walker instead of a core.
-    fn walk_access(&mut self, core: usize, line: LineAddr, walk: u64, now: Cycle) {
+    /// [`Hierarchy::access_first`] — including MSHR merging and the
+    /// `false` return on a full table — but resumes the walker instead of
+    /// a core.
+    fn walk_access(&mut self, core: usize, line: LineAddr, walk: u64, now: Cycle) -> bool {
         self.stats[core].walk_mem_accesses += 1;
         let res = self.levels[0].access(core, line, 0);
         if res.hit {
             let at = now + self.levels[0].latency() as Cycle;
             self.schedule(at, Ev::WalkStep { walk });
-            return;
+            return true;
         }
         match self.levels[0].mshr_allocate(core, line, Waiter::Walk { walk }, false) {
             Ok(true) => {
@@ -1058,24 +1107,10 @@ impl Hierarchy {
                         walk: true,
                     },
                 );
+                true
             }
-            Ok(false) => {}
-            Err(_) => {
-                let at = now + self.cfg.mshr_retry as Cycle;
-                self.retry_min = self.retry_min.min(at);
-                self.retries.push(
-                    at,
-                    Retry {
-                        core,
-                        line,
-                        token: None,
-                        is_store: false,
-                        pc: 0,
-                        walk: Some(walk),
-                        epoch: self.levels[0].change_epoch(core),
-                    },
-                );
-            }
+            Ok(false) => true,
+            Err(_) => false,
         }
     }
 
@@ -1122,11 +1157,9 @@ impl Hierarchy {
                         // The PFN is known: the speculative read may go.
                         self.schedule(min.max(now), Ev::HermesIssue { core, line: pline });
                     }
-                    self.access_first(core, pline, Some(token), false, pc, now);
+                    self.load_first(core, pline, token, pc, now);
                 }
-                TransWaiter::Store { pc, pline } => {
-                    self.access_first(core, pline, None, true, pc, now);
-                }
+                TransWaiter::Store { pc, pline } => self.store_first(core, pline, pc, now),
             }
         }
     }
@@ -1539,7 +1572,7 @@ impl Hierarchy {
             self.kill_remote_copies(core, line);
             self.levels[0].mark_dirty(core, line);
         } else {
-            self.access_first(core, line, None, true, pc, now);
+            self.store_first(core, line, pc, now);
         }
     }
 
@@ -1750,55 +1783,23 @@ impl Hierarchy {
         }
     }
 
-    /// Advances the hierarchy to `now`: processes due retries, events,
-    /// and DRAM completions. Finished loads accumulate in the internal
-    /// buffer drained by [`Hierarchy::drain_finished`].
+    /// Advances the hierarchy to `now`: wakes parked first-level
+    /// accesses, then processes events and DRAM completions. Finished
+    /// loads accumulate in the internal buffer drained by
+    /// [`Hierarchy::drain_finished`].
     pub fn tick(&mut self, now: Cycle) {
-        // Retries first (they were scheduled in a side queue). The scan
-        // is gated on the cached minimum: a tick with nothing due costs
-        // one comparison. When due entries exist the sweep is the exact
-        // historical swap-remove scan (order preserved bit-for-bit);
-        // entries re-parked mid-scan land behind the cursor with a
-        // future due time and are skipped.
-        //
-        // A due entry whose first level hasn't changed since it parked
-        // (no fill, no MSHR allocation or release — tracked by
-        // [`CacheLevel::change_epoch`]) is *guaranteed* to miss and be
-        // rejected again, so the re-attempt collapses to its counter
-        // and trace side effects: the tag array and MSHR table are not
-        // walked. This is the dominant case under MSHR saturation
-        // (thousands of parked accesses re-attempting every
-        // `mshr_retry` cycles) and is bit-exact by construction.
-        if now >= self.retry_min {
-            let mut i = 0;
-            while i < self.retries.len() {
-                if self.retries.at(i) <= now {
-                    let r = self.retries.swap_remove(i);
-                    if r.epoch == self.levels[0].change_epoch(r.core) {
-                        match r.walk {
-                            Some(_) => self.stats[r.core].walk_mem_accesses += 1,
-                            None => {
-                                self.stats[r.core].l1_accesses += 1;
-                                if let (Some(p), Some(tok)) = (&mut self.probe, r.token) {
-                                    p.on_load_event(r.core, tok, now, "l1_miss");
-                                }
-                            }
-                        }
-                        self.levels[0].count_rejected_retry();
-                        self.retries.push(now + self.cfg.mshr_retry as Cycle, r);
-                    } else {
-                        match r.walk {
-                            Some(walk) => self.walk_access(r.core, r.line, walk, now),
-                            None => {
-                                self.access_first(r.core, r.line, r.token, r.is_store, r.pc, now)
-                            }
-                        }
-                    }
-                } else {
-                    i += 1;
+        // Wakes first: a core's parked accesses re-attempt only once its
+        // first level changed since their last attempt (a change made
+        // during this tick's events wakes them in the next tick), and a
+        // wake skips every access the level would still reject.
+        self.now = now;
+        if self.parked_any {
+            for core in 0..self.parked.len() {
+                if self.wake_pending(core) {
+                    self.wake(core, now);
                 }
             }
-            self.retry_min = self.retries.min_at();
+            self.parked_any = self.parked.iter().any(|p| !p.is_empty());
         }
         while let Some(Reverse(entry)) = self.events.peek() {
             if entry.at > now {
@@ -1857,6 +1858,12 @@ impl Hierarchy {
         } else {
             Mesi::Shared
         }
+    }
+
+    /// Oracle visibility for tests: whether `core`'s first level has a
+    /// miss to `line` outstanding in its MSHRs.
+    pub fn first_level_outstanding(&self, core: usize, line: LineAddr) -> bool {
+        self.levels[0].mshr_contains(core, line)
     }
 
     /// Oracle visibility for tests: the sharer-directory bitmap the
@@ -1993,7 +2000,7 @@ impl MemoryPort for Hierarchy {
                         },
                     );
                 }
-                self.access_first(req.core, pline, Some(req.token), false, req.pc, now);
+                self.load_first(req.core, pline, req.token, req.pc, now);
             }
             TransRoute::Defer(walk) => self.defer_on_walk(
                 walk,
@@ -2010,7 +2017,7 @@ impl MemoryPort for Hierarchy {
     fn issue_store(&mut self, req: StoreIssue, now: Cycle) {
         let (pline, route) = self.resolve_translation(req.core, req.vaddr, now);
         match route {
-            TransRoute::Ready => self.access_first(req.core, pline, None, true, req.pc, now),
+            TransRoute::Ready => self.store_first(req.core, pline, req.pc, now),
             TransRoute::Defer(walk) => {
                 self.defer_on_walk(walk, TransWaiter::Store { pc: req.pc, pline })
             }

@@ -2,14 +2,14 @@
 //!
 //! Floods hierarchies with far more concurrent distinct-line loads than
 //! any level has MSHRs, so allocation fails and the retry machinery runs
-//! at each level: the first level's side retry queue and the
+//! at each level: the accesses parked at the first level and the
 //! `retried`-lookup events at every outer level. Every load must still
 //! complete exactly once, and no MSHR entry may remain allocated
 //! afterwards (a stranded waiter would deadlock a real run).
 //! Parameterised over 2-, 3-, and 4-level topologies, with and without
 //! the address-translation subsystem: page-table-walker reads share the
 //! same MSHR tables as demand traffic and must survive exhaustion (and
-//! drive the retry queues) without stranding anyone.
+//! drive the retry paths) without stranding anyone.
 
 use hermes_cache::{CacheConfig, LevelConfig, ReplacementKind};
 use hermes_cpu::{LoadIssue, MemoryPort, ServedBy};
@@ -339,4 +339,74 @@ fn store_write_allocates_with_walks_survive_exhaustion() {
         let s = h.core_stats()[0];
         assert!(s.walks_completed > 0, "{depth}-level: stores walked too");
     }
+}
+
+#[test]
+fn parked_stores_wait_for_a_change_and_drain_in_order() {
+    use hermes_cpu::StoreIssue;
+    use hermes_sim::translate::translate;
+    let mut h = Hierarchy::new(config(3));
+    // Eight loads to distinct lines take every first-level register.
+    for t in 0..8u64 {
+        h.issue_load(
+            LoadIssue {
+                core: 0,
+                token: t,
+                pc: 0xa00_000 + t * 4,
+                vaddr: VirtAddr::new(t * 64),
+            },
+            0,
+        );
+    }
+    // Four stores to further lines find the table full and park.
+    let store_vaddr = |i: u64| VirtAddr::new((100 + i) * 64);
+    for i in 0..4u64 {
+        h.issue_store(
+            StoreIssue {
+                core: 0,
+                pc: 0xb00_000 + i * 4,
+                vaddr: store_vaddr(i),
+            },
+            0,
+        );
+    }
+    let parked = h.core_stats()[0].l1_accesses;
+    assert_eq!(parked, 12, "8 loads plus 4 rejected store attempts");
+
+    // Nothing completes for a whole miss round trip: the parked stores
+    // must not touch the first level meanwhile.
+    let mut buf = Vec::new();
+    let mut now = 0;
+    loop {
+        h.tick(now);
+        h.drain_finished(&mut buf);
+        if !buf.is_empty() {
+            break;
+        }
+        assert_eq!(
+            h.core_stats()[0].l1_accesses,
+            parked,
+            "cycle {now}: a parked store re-attempted before any change"
+        );
+        now += 1;
+        assert!(now < 100_000, "no load ever completed");
+    }
+    assert!(
+        now >= 50,
+        "the first miss completed after only {now} cycles"
+    );
+
+    // Each completion freed one register; the wake in the next tick
+    // hands them to the oldest parked stores, in program order.
+    let freed = buf.len().min(4);
+    h.tick(now + 1);
+    for i in 0..4u64 {
+        let line = translate(0, store_vaddr(i)).line();
+        assert_eq!(
+            h.first_level_outstanding(0, line),
+            (i as usize) < freed,
+            "store {i} after {freed} register(s) freed"
+        );
+    }
+    assert_eq!(h.core_stats()[0].l1_accesses, parked + freed as u64);
 }

@@ -680,6 +680,30 @@ fn multicore_sharing_produces_invalidation_traffic() {
 }
 
 #[test]
+fn mshr_rejected_accesses_are_not_charged_as_l1_traffic() {
+    // `pc-ring` saturates both cores' first-level MSHRs. A rejected
+    // access must wait for the level to change instead of re-polling it:
+    // a polling retry path charges tens of first-level accesses per load
+    // or store on this window.
+    let spec = &suite::sharing_suite(500)[0];
+    assert_eq!(spec.name, "pc-ring");
+    let cfg = SystemConfig {
+        cores: 2,
+        ..SystemConfig::baseline_1c()
+    }
+    .with_coherence(CoherenceConfig::baseline());
+    let r = System::new(cfg, std::slice::from_ref(spec)).run(2_000, 8_000);
+    for (i, c) in r.cores.iter().enumerate() {
+        let issued = c.core.loads + c.core.stores;
+        assert!(
+            c.hier.l1_accesses <= 8 * issued,
+            "core {i}: {} first-level accesses for {issued} loads and stores",
+            c.hier.l1_accesses
+        );
+    }
+}
+
+#[test]
 fn fast_forward_is_cycle_exact_with_coherence() {
     // 4 coherent cores flood the L1 MSHRs, so the retry queue holds
     // thousands of parked accesses; the 2-core coherence + vm + POPET

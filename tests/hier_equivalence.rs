@@ -79,19 +79,24 @@ fn config_for(tag: &str) -> SystemConfig {
 }
 
 /// Pre-refactor digests: (config tag, smoke-suite workload index, digest)
-/// at warmup 5 000 / measure 20 000.
+/// at warmup 5 000 / measure 20 000. The smoke-stream and smoke-pagerank
+/// rows were re-pinned when MSHR-rejected first-level accesses stopped
+/// being re-polled every `mshr_retry` cycles and began waiting for the
+/// level to change (a declared model change); smoke-chase never fills
+/// the first-level MSHRs and is unchanged.
 const GOLDEN_1C: &[(&str, usize, &str)] = &[
     ("baseline", 0, "total_cycles=1067034;[smoke-chase cyc=1067034 ret=20000 ld=5000 st=0 br=5000 bm=0 l1=0 l2=0 llc=117 dram=4883 ob=4883 onb=0 sco=1045833 scl=6201 sso=15000 erc=0 hacc=5000 hmiss=4883 hreq=0 pfi=751 pfu=117 l1a=5000 l2a=5000 ols=1055599 oops=268565 ol=4883 tp=0 fp=0 fn=0 tn=0];dram[rd=4883 rp=751 rh=0 w=0 hit=600 empty=0 conf=5034 merged=0 dropped=0]"),
-    ("baseline", 1, "total_cycles=22971;[smoke-stream cyc=22971 ret=20000 ld=5364 st=3001 br=5819 bm=0 l1=0 l2=0 llc=89 dram=5275 ob=216 onb=5059 sco=17541 scl=1743 sso=527 erc=0 hacc=935 hmiss=902 hreq=0 pfi=723 pfu=33 l1a=149601 l2a=936 ols=2469856 oops=290235 ol=5277 tp=0 fp=0 fn=0 tn=0];dram[rd=328 rp=723 rh=0 w=0 hit=874 empty=3 conf=174 merged=0 dropped=0]"),
-    ("baseline", 3, "total_cycles=52651;[smoke-pagerank cyc=52651 ret=20000 ld=4992 st=2248 br=2248 bm=0 l1=717 l2=161 llc=611 dram=3503 ob=92 onb=3411 sco=10590 scl=0 sso=42061 erc=0 hacc=1961 hmiss=1645 hreq=0 pfi=1311 pfu=316 l1a=74361 l2a=2127 ols=1306786 oops=192610 ol=3502 tp=0 fp=0 fn=0 tn=0];dram[rd=1356 rp=1311 rh=0 w=0 hit=1119 empty=0 conf=1548 merged=0 dropped=0]"),
+    ("baseline", 1, "total_cycles=22585;[smoke-stream cyc=22585 ret=20000 ld=5285 st=2958 br=5881 bm=0 l1=0 l2=0 llc=31 dram=5254 ob=294 onb=4960 sco=18852 scl=0 sso=616 erc=0 hacc=904 hmiss=850 hreq=0 pfi=730 pfu=54 l1a=13313 l2a=904 ols=2615850 oops=286440 ol=5208 tp=0 fp=0 fn=0 tn=0];dram[rd=287 rp=730 rh=0 w=0 hit=839 empty=3 conf=175 merged=0 dropped=0]"),
+    ("baseline", 3, "total_cycles=52561;[smoke-pagerank cyc=52561 ret=20000 ld=4992 st=2248 br=2248 bm=0 l1=597 l2=160 llc=430 dram=3805 ob=171 onb=3634 sco=10512 scl=3 sso=42043 erc=0 hacc=1946 hmiss=1703 hreq=0 pfi=1359 pfu=243 l1a=9523 l2a=2111 ols=1418963 oops=209495 ol=3809 tp=0 fp=0 fn=0 tn=0];dram[rd=1317 rp=1359 rh=0 w=0 hit=1199 empty=0 conf=1477 merged=0 dropped=0]"),
     ("hermes-o-popet", 0, "total_cycles=821263;[smoke-chase cyc=821263 ret=20000 ld=5000 st=0 br=5000 bm=0 l1=0 l2=0 llc=117 dram=4883 ob=4883 onb=0 sco=800062 scl=6201 sso=15000 erc=0 hacc=5000 hmiss=4883 hreq=5000 pfi=751 pfu=117 l1a=5000 l2a=5000 ols=809828 oops=268565 ol=4883 tp=4883 fp=117 fn=0 tn=0];dram[rd=0 rp=751 rh=5000 w=0 hit=618 empty=0 conf=5133 merged=4883 dropped=117]"),
-    ("hermes-o-popet", 1, "total_cycles=22580;[smoke-stream cyc=22580 ret=20000 ld=5720 st=3197 br=5543 bm=0 l1=10 l2=0 llc=332 dram=5378 ob=246 onb=5132 sco=16202 scl=2692 sso=554 erc=0 hacc=892 hmiss=839 hreq=5707 pfi=689 pfu=53 l1a=147522 l2a=888 ols=1978989 oops=294690 ol=5358 tp=5349 fp=342 fn=9 tn=0];dram[rd=87 rp=356 rh=567 w=0 hit=822 empty=3 conf=185 merged=197 dropped=367]"),
-    ("hermes-o-popet", 3, "total_cycles=71832;[smoke-pagerank cyc=71832 ret=20000 ld=4994 st=2248 br=2248 bm=0 l1=659 l2=167 llc=432 dram=3736 ob=247 onb=3489 sco=28338 scl=1423 sso=42070 erc=0 hacc=1943 hmiss=1719 hreq=4892 pfi=1247 pfu=224 l1a=120101 l2a=2114 ols=2010898 oops=206085 ol=3747 tp=3746 fp=1170 fn=1 tn=101];dram[rd=103 rp=1154 rh=2058 w=0 hit=879 empty=0 conf=2436 merged=1234 dropped=843]"),
+    ("hermes-o-popet", 1, "total_cycles=27301;[smoke-stream cyc=27301 ret=20000 ld=5240 st=2929 br=5918 bm=0 l1=0 l2=0 llc=92 dram=5148 ob=572 onb=4576 sco=23107 scl=120 sso=1156 erc=0 hacc=964 hmiss=937 hreq=5241 pfi=796 pfu=27 l1a=12849 l2a=962 ols=3330720 oops=283690 ol=5158 tp=5158 fp=92 fn=0 tn=0];dram[rd=95 rp=304 rh=668 w=0 hit=831 empty=3 conf=233 merged=174 dropped=495]"),
+    ("hermes-o-popet", 3, "total_cycles=69902;[smoke-pagerank cyc=69902 ret=20000 ld=4994 st=2248 br=2248 bm=0 l1=507 l2=151 llc=293 dram=4043 ob=545 onb=3498 sco=27814 scl=9 sso=42074 erc=0 hacc=1903 hmiss=1715 hreq=4919 pfi=1362 pfu=188 l1a=9521 l2a=2054 ols=2079930 oops=224400 ol=4080 tp=4080 fp=861 fn=0 tn=86];dram[rd=25 rp=1203 rh=1973 w=0 hit=816 empty=0 conf=2385 merged=1212 dropped=773]"),
 ];
 
-/// Pre-refactor digest of a 2-core mix (smoke-chase + smoke-stream,
-/// shared LLC contention) at warmup 3 000 / measure 10 000.
-const GOLDEN_2C: &str = "total_cycles=1480530;[smoke-chase cyc=1480530 ret=10000 ld=2500 st=0 br=2500 bm=0 l1=0 l2=0 llc=43 dram=2457 ob=2457 onb=0 sco=1470751 scl=2279 sso=7500 erc=0 hacc=2500 hmiss=2457 hreq=0 pfi=1029 pfu=43 l1a=2500 l2a=2500 ols=1475665 oops=135135 ol=2457 tp=0 fp=0 fn=0 tn=0];[smoke-stream cyc=12637 ret=10000 ld=2690 st=1503 br=2904 bm=0 l1=14 l2=0 llc=468 dram=2208 ob=106 onb=2102 sco=10204 scl=648 sso=255 erc=0 hacc=453 hmiss=392 hreq=0 pfi=360 pfu=61 l1a=50251 l2a=456 ols=1215593 oops=122485 ol=2227 tp=0 fp=0 fn=0 tn=0];dram[rd=22076 rp=38219 rh=0 w=920 hit=44559 empty=0 conf=16656 merged=0 dropped=0]";
+/// Digest of a 2-core mix (smoke-chase + smoke-stream, shared LLC
+/// contention) at warmup 3 000 / measure 10 000, re-pinned with the
+/// smoke-stream rows above.
+const GOLDEN_2C: &str = "total_cycles=1625547;[smoke-chase cyc=1625547 ret=10000 ld=2500 st=0 br=2500 bm=0 l1=0 l2=0 llc=43 dram=2457 ob=2457 onb=0 sco=1615768 scl=2279 sso=7500 erc=0 hacc=2500 hmiss=2457 hreq=0 pfi=1029 pfu=43 l1a=2500 l2a=2500 ols=1620682 oops=135135 ol=2457 tp=0 fp=0 fn=0 tn=0];[smoke-stream cyc=18362 ret=10000 ld=2560 st=1433 br=3005 bm=0 l1=52 l2=0 llc=589 dram=1919 ob=131 onb=1788 sco=16601 scl=0 sso=322 erc=0 hacc=458 hmiss=361 hreq=0 pfi=329 pfu=97 l1a=4900 l2a=460 ols=1442936 oops=104610 ol=1902 tp=0 fp=0 fn=0 tn=0];dram[rd=25794 rp=39925 rh=0 w=1184 hit=47603 empty=0 conf=19300 merged=0 dropped=0]";
 
 #[test]
 fn generic_hierarchy_matches_pre_refactor_goldens() {
