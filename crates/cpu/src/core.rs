@@ -9,7 +9,7 @@
 //! hurt and where Hermes wins its cycles back.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes_trace::{Instr, MemKind, TraceSource};
 use hermes_types::{CoreId, Cycle, VirtAddr};
@@ -68,6 +68,8 @@ struct RobEntry {
     mispredicted: bool,
     served: Option<ServedBy>,
     blocked_cycles: u64,
+    /// Younger entries waiting on this one's result, in dispatch order.
+    dependents: Vec<u64>,
 }
 
 /// One simulated out-of-order core.
@@ -82,8 +84,6 @@ pub struct Core {
     rob: VecDeque<RobEntry>,
     next_seq: u64,
     regs: Vec<RegState>,
-    /// producer seq -> dependent seqs waiting on it.
-    waiters: HashMap<u64, Vec<u64>>,
     agen_events: BinaryHeap<Reverse<(Cycle, u64)>>,
     lq_used: usize,
     sq_used: usize,
@@ -114,7 +114,6 @@ impl Core {
             rob: VecDeque::with_capacity(512),
             next_seq: 0,
             regs: vec![RegState::ReadyAt(0); hermes_trace::instr::NUM_REGS],
-            waiters: HashMap::new(),
             agen_events: BinaryHeap::new(),
             lq_used: 0,
             sq_used: 0,
@@ -175,6 +174,8 @@ impl Core {
     /// between: the next address-generation event, the ROB head's known
     /// completion time, or the end of a fetch bubble (only relevant while
     /// the ROB has room — a full ROB can only drain via retirement).
+    /// A full LQ/SQ is no reason to skip here: each blocked fetch attempt
+    /// still consumes a trace instruction, so it is real work.
     /// `Cycle::MAX` means the core is blocked entirely on the memory
     /// system. Drives idle-cycle fast-forward: the system may skip every
     /// cycle strictly before the returned one, provided it accounts them
@@ -202,7 +203,9 @@ impl Core {
     /// as that many no-op [`Core::tick`] calls would have: to the blocked
     /// ROB head (memory stall), to `stall_cycles_other`, or to
     /// `empty_rob_cycles`. Only valid while every skipped tick would have
-    /// been a no-op, i.e. for spans ending before [`Core::next_work_at`].
+    /// been a no-op, i.e. for spans ending before [`Core::next_work_at`]:
+    /// fetch is then bubbled past the span or blocked by a full ROB,
+    /// neither of which counts a stall.
     pub fn skip_stalled(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -253,7 +256,6 @@ impl Core {
             match head.state {
                 EntryState::Done(t) if t <= now => {
                     let e = self.rob.pop_front().expect("front checked above");
-                    self.waiters.remove(&e.seq);
                     self.stats.retired += 1;
                     retired_now += 1;
                     match e.kind {
@@ -357,7 +359,10 @@ impl Core {
                 deps[slot] = Some(match self.regs[*r as usize] {
                     RegState::ReadyAt(t) => SrcDep::Ready(t),
                     RegState::PendingOn(p) => {
-                        self.waiters.entry(p).or_default().push(seq);
+                        // A producer without a known completion is still
+                        // in the ROB.
+                        let pidx = self.entry_index(p).expect("pending producer in ROB");
+                        self.rob[pidx].dependents.push(seq);
                         SrcDep::On(p)
                     }
                 });
@@ -391,6 +396,7 @@ impl Core {
             mispredicted,
             served: None,
             blocked_cycles: 0,
+            dependents: Vec::new(),
         });
 
         if mispredicted {
@@ -463,43 +469,33 @@ impl Core {
         self.on_complete(token, now);
     }
 
-    /// Propagates a known completion: updates the scoreboard, wakes
-    /// dependents, and releases a misprediction fetch bubble.
+    /// Propagates a known completion: updates the scoreboard, releases a
+    /// misprediction fetch bubble, and wakes dependents. A dependent whose
+    /// completion becomes known propagates its own through
+    /// `try_schedule` -> `on_complete`.
     fn on_complete(&mut self, seq: u64, done: Cycle) {
+        let idx = self.entry_index(seq).expect("completing entry in ROB");
+        let e = &mut self.rob[idx];
+        let (dst, mispredicted) = (e.dst, e.mispredicted);
+        let dependents = std::mem::take(&mut e.dependents);
         // Scoreboard update (unless a younger producer overwrote the reg).
-        if let Some(idx) = self.entry_index(seq) {
-            let (dst, mispredicted) = (self.rob[idx].dst, self.rob[idx].mispredicted);
-            if let Some(d) = dst {
-                if self.regs[d as usize] == RegState::PendingOn(seq) {
-                    self.regs[d as usize] = RegState::ReadyAt(done);
-                }
-            }
-            if mispredicted {
-                self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
+        if let Some(d) = dst {
+            if self.regs[d as usize] == RegState::PendingOn(seq) {
+                self.regs[d as usize] = RegState::ReadyAt(done);
             }
         }
-        // Wake dependents (iteratively; chains can be ROB-deep).
-        let mut work = vec![(seq, done)];
-        while let Some((producer, at)) = work.pop() {
-            let Some(dependents) = self.waiters.remove(&producer) else {
-                continue;
-            };
-            for dep_seq in dependents {
-                let Some(didx) = self.entry_index(dep_seq) else {
-                    continue;
-                };
-                for d in self.rob[didx].deps.iter_mut().flatten() {
-                    if *d == SrcDep::On(producer) {
-                        *d = SrcDep::Ready(at);
-                    }
+        if mispredicted {
+            self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
+        }
+        // Dependents are younger than their producer, so still in the ROB.
+        for dep_seq in dependents {
+            let didx = self.entry_index(dep_seq).expect("dependent in ROB");
+            for d in self.rob[didx].deps.iter_mut().flatten() {
+                if *d == SrcDep::On(seq) {
+                    *d = SrcDep::Ready(done);
                 }
-                let before = self.rob[didx].state;
-                self.try_schedule(dep_seq);
-                // If the dependent completed synchronously, enqueue its own
-                // wakeups (try_schedule -> on_complete already handled reg +
-                // waiters for ALU chains; nothing more to do here).
-                let _ = before;
             }
+            self.try_schedule(dep_seq);
         }
     }
 

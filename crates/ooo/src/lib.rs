@@ -18,33 +18,42 @@
 //!   the ready queue at the cycle its operands forward; select starts up
 //!   to `issue_width` ready instructions per cycle, oldest-ready first,
 //!   freeing their RS entries.
-//! * **LSQ**: loads and stores occupy a program-ordered queue. A load
-//!   whose address generation completes first checks older stores: any
-//!   older store with an unknown address parks the load (conservative
-//!   disambiguation); a matching older store with a known address
-//!   forwards in one cycle (`forwarded_loads`) without touching the
-//!   memory system; otherwise the load issues to the hierarchy — which is
-//!   where POPET predicts and Hermes may fire its speculative read.
-//!   Stores write to the memory system at retirement, in order, exactly
-//!   like the legacy core.
+//! * **LSQ**: loads and stores each hold a slot of their partition from
+//!   dispatch to retirement. Stores also sit in a program-ordered store
+//!   queue. A load whose address generation completes checks the older
+//!   stores: any older store with an unknown address parks the load
+//!   (conservative disambiguation) until a store address resolves; a
+//!   matching older store with a known address forwards in one cycle
+//!   (`forwarded_loads`) without touching the memory system; otherwise
+//!   the load issues to the hierarchy — which is where POPET predicts and
+//!   Hermes may fire its speculative read. Stores write to the memory
+//!   system at retirement, in order, exactly like the legacy core.
 //! * **Branches** resolve at execute; a misprediction injects a fetch
 //!   bubble until `resolve + branch_penalty` and counts a flush (no
 //!   wrong-path execution is modelled, matching the legacy core).
 //!
 //! Fast-forward contract: [`OooCore::next_work_at`] returns the earliest
 //! of the next scheduled event (agen/execute completion), the earliest
-//! ready-queue entry, the ROB head's completion, and the end of the fetch
-//! bubble while the ROB has room — and [`OooCore::skip_stalled`]
-//! attributes a skipped span exactly as that many no-op ticks would
-//! (including `rob_occupancy_sum`), so results are bit-identical with
-//! fast-forward on or off.
+//! ready-queue entry, the ROB head's completion, and — unless fetch is
+//! blocked by a full ROB, a full RS, or a full LQ/SQ partition for the
+//! instruction in the skid buffer — the end of the fetch bubble. Each of
+//! those blocks clears only through select or retirement, which the
+//! ready queue and the ROB head already cover, so a blocked core skips
+//! its dispatch stalls. [`OooCore::skip_stalled`] attributes a skipped
+//! span exactly as that many no-op ticks would (including
+//! `rob_occupancy_sum` and one `rs_full_stalls` / `lsq_full_stalls` per
+//! cycle), so results are bit-identical with fast-forward on or off.
+//! Every per-instruction structure is O(1) or bounded by the store
+//! queue: dependents hang off their producer's ROB entry, store
+//! addresses resolve by binary search, and parked loads sit on their own
+//! list.
 //!
 //! [`AnyCore`] is the config-driven dispatcher `hermes-sim` instantiates:
 //! `CoreModel::Legacy` (the default) wraps the unchanged legacy core, so
 //! every historical configuration stays byte-identical.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes_cpu::branch::{self, BranchPredictor};
 use hermes_cpu::config::{CoreConfig, CoreModel, OooConfig};
@@ -112,17 +121,26 @@ struct Entry {
     served: Option<ServedBy>,
     issued_mem: bool,
     blocked_cycles: u64,
+    /// Younger entries waiting on this one's result, in dispatch order.
+    dependents: Vec<u64>,
 }
 
-/// One program-ordered load/store-queue slot. `word` is the 8-byte-word
+/// One program-ordered store-queue slot. `word` is the 8-byte-word
 /// address used for forwarding matches; `addr_known` flips when address
 /// generation completes.
 #[derive(Debug, Clone, Copy)]
-struct LsqSlot {
+struct SqSlot {
     seq: u64,
-    store: bool,
     addr_known: bool,
     word: u64,
+}
+
+/// Why the last fetch attempt stalled dispatch: a structure that only
+/// select (RS) or retirement (LQ/SQ) can free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FetchBlock {
+    Rs,
+    Lsq,
 }
 
 /// The cycle-driven out-of-order core.
@@ -134,8 +152,6 @@ pub struct OooCore {
     rob: VecDeque<Entry>,
     next_seq: u64,
     rat: Vec<RatEntry>,
-    /// producer seq -> dependent seqs waiting on it.
-    waiters: HashMap<u64, Vec<u64>>,
     /// Instructions with all operands known, keyed by the cycle their
     /// operands forward; select pops `issue_width` per cycle.
     ready: BinaryHeap<Reverse<(Cycle, u64)>>,
@@ -143,13 +159,19 @@ pub struct OooCore {
     /// cycle; the entry's state disambiguates the kind.
     events: BinaryHeap<Reverse<(Cycle, u64)>>,
     rs_used: usize,
-    lsq: VecDeque<LsqSlot>,
+    /// In-flight stores in program order (loads only count `lq_used`).
+    sq: VecDeque<SqSlot>,
     lq_used: usize,
     sq_used: usize,
+    /// Loads parked in `St::StoreWait`, oldest first.
+    parked: Vec<u64>,
     /// Skid buffer: an instruction pulled from the trace that could not
     /// enter its queue this cycle (nothing is dropped).
     pending: Option<Instr>,
     fetch_stall_until: Cycle,
+    /// Set by every `fetch_and_dispatch`: the full RS or LQ/SQ partition
+    /// that stopped the cycle's fetch, if one did.
+    fetch_blocked: Option<FetchBlock>,
     bp: Box<dyn BranchPredictor>,
     stats: CoreStats,
 }
@@ -177,15 +199,16 @@ impl OooCore {
             rob: VecDeque::with_capacity(cfg.rob_size.min(1024)),
             next_seq: 0,
             rat: vec![RatEntry::ReadyAt(0); hermes_trace::instr::NUM_REGS],
-            waiters: HashMap::new(),
             ready: BinaryHeap::new(),
             events: BinaryHeap::new(),
             rs_used: 0,
-            lsq: VecDeque::new(),
+            sq: VecDeque::new(),
             lq_used: 0,
             sq_used: 0,
+            parked: Vec::new(),
             pending: None,
             fetch_stall_until: 0,
+            fetch_blocked: None,
             bp,
             stats: CoreStats::default(),
             cfg,
@@ -256,11 +279,15 @@ impl OooCore {
     /// The earliest cycle at which [`OooCore::tick`] can do more than
     /// accumulate stalls, assuming no [`OooCore::finish_load`] arrives in
     /// between: the next scheduled agen/execute completion, the earliest
-    /// ready-queue entry, the ROB head's completion, or the end of a
-    /// fetch bubble while the ROB has room. `Cycle::MAX` means the core
-    /// is blocked entirely on the memory system. May return a cycle at or
-    /// before `now` (ready work, or fetch possible right now), which
-    /// simply prevents a fast-forward jump.
+    /// ready-queue entry, the ROB head's completion, or — unless the ROB
+    /// is full or the last fetch stalled on a full RS or LQ/SQ partition
+    /// — the end of the fetch bubble. Those blocks clear only through select (the
+    /// ready queue) or retirement (the ROB head), and the bubble stays a
+    /// wake point while it lasts, so a skipped span never runs past it.
+    /// `Cycle::MAX` means the core is blocked entirely on the memory
+    /// system. May return a cycle at or before `now` (ready work, or
+    /// fetch possible right now), which simply prevents a fast-forward
+    /// jump.
     pub fn next_work_at(&self) -> Cycle {
         let mut at = Cycle::MAX;
         if let Some(&Reverse((t, _))) = self.events.peek() {
@@ -269,27 +296,25 @@ impl OooCore {
         if let Some(&Reverse((t, _))) = self.ready.peek() {
             at = at.min(t);
         }
-        match self.rob.front() {
-            Some(head) => {
-                if head.state == St::Done {
-                    at = at.min(head.done_at);
-                }
-                if self.rob.len() < self.cfg.rob_size {
-                    at = at.min(self.fetch_stall_until);
-                }
+        if let Some(head) = self.rob.front() {
+            if head.state == St::Done {
+                at = at.min(head.done_at);
             }
-            None => at = at.min(self.fetch_stall_until),
+        }
+        if self.fetch_blocked.is_none() && self.rob.len() < self.cfg.rob_size {
+            at = at.min(self.fetch_stall_until);
         }
         at
     }
 
     /// Accounts `cycles` skipped ticks in bulk, attributing them exactly
     /// as that many no-op [`OooCore::tick`] calls would: `rob.len()` per
-    /// cycle into `rob_occupancy_sum`, plus the blocked-head / other /
-    /// empty-ROB stall classification. Only valid for spans ending before
+    /// cycle into `rob_occupancy_sum`, the blocked-head / other /
+    /// empty-ROB stall classification, and the RS- or LSQ-full dispatch
+    /// stall the last fetch hit. Only valid for spans ending before
     /// [`OooCore::next_work_at`] — over such a span no event fires, no
     /// instruction is ready, nothing retires, and fetch is either bubbled
-    /// past the span or blocked by a full ROB (both attempt-free), so
+    /// past the span or blocked exactly as it was on the last tick, so
     /// every skipped tick mutates exactly these counters.
     pub fn skip_stalled(&mut self, cycles: u64) {
         if cycles == 0 {
@@ -302,6 +327,11 @@ impl OooCore {
                 St::Agen | St::StoreWait | St::Mem => head.blocked_cycles += cycles,
                 _ => self.stats.stall_cycles_other += cycles,
             },
+        }
+        match self.fetch_blocked {
+            Some(FetchBlock::Rs) => self.stats.rs_full_stalls += cycles,
+            Some(FetchBlock::Lsq) => self.stats.lsq_full_stalls += cycles,
+            None => {}
         }
     }
 
@@ -335,12 +365,13 @@ impl OooCore {
             let idx = self.entry_index(seq).expect("event for retired entry");
             match self.rob[idx].state {
                 St::Agen => match self.rob[idx].kind {
-                    EntryKind::Load => {
-                        self.mark_lsq_known(seq);
-                        self.resolve_load(seq, now, port);
-                    }
+                    EntryKind::Load => self.resolve_load(seq, now, port),
                     EntryKind::Store => {
-                        self.mark_lsq_known(seq);
+                        let slot = self
+                            .sq
+                            .binary_search_by_key(&seq, |s| s.seq)
+                            .expect("store missing from SQ");
+                        self.sq[slot].addr_known = true;
                         self.complete(seq, now);
                         recheck = true;
                     }
@@ -355,45 +386,28 @@ impl OooCore {
         }
     }
 
-    fn mark_lsq_known(&mut self, seq: u64) {
-        if let Some(slot) = self.lsq.iter_mut().find(|s| s.seq == seq) {
-            slot.addr_known = true;
-        }
-    }
-
     /// Disambiguates a load whose address is now known against the older
-    /// stores in the LSQ: parks it if any older store address is still
+    /// stores in the SQ: parks it if any older store address is still
     /// unknown, forwards from the youngest matching older store, or
     /// issues it to the memory system.
     fn resolve_load(&mut self, seq: u64, now: Cycle, port: &mut dyn MemoryPort) {
-        let word = self
-            .lsq
-            .iter()
-            .find(|s| s.seq == seq)
-            .expect("load missing from LSQ")
-            .word;
+        let idx = self.entry_index(seq).expect("load entry present");
+        let word = self.rob[idx].vaddr.raw() >> 3;
         let mut unknown_older = false;
         let mut forward = false;
-        for s in &self.lsq {
-            if s.seq >= seq {
-                break;
-            }
-            if !s.store {
-                continue;
-            }
+        for s in self.sq.iter().take_while(|s| s.seq < seq) {
             if !s.addr_known {
                 // An older store whose address is still unknown may alias:
                 // conservative disambiguation parks the load.
                 unknown_older = true;
                 break;
             }
-            if s.word == word {
-                forward = true; // youngest older match wins (last seen).
-            }
+            forward |= s.word == word;
         }
-        let idx = self.entry_index(seq).expect("load entry present");
         if unknown_older {
             self.rob[idx].state = St::StoreWait;
+            let at = self.parked.partition_point(|&p| p < seq);
+            self.parked.insert(at, seq);
         } else if forward {
             self.stats.forwarded_loads += 1;
             self.rob[idx].served = Some(ServedBy::L1);
@@ -419,15 +433,11 @@ impl OooCore {
     }
 
     /// Re-runs disambiguation for every parked load, oldest first, after
-    /// one or more store addresses resolved this cycle.
+    /// one or more store addresses resolved this cycle. A load that is
+    /// still blocked re-parks (in order, since the list is walked oldest
+    /// first).
     fn recheck_parked_loads(&mut self, now: Cycle, port: &mut dyn MemoryPort) {
-        let parked: Vec<u64> = self
-            .rob
-            .iter()
-            .filter(|e| e.state == St::StoreWait)
-            .map(|e| e.seq)
-            .collect();
-        for seq in parked {
+        for seq in std::mem::take(&mut self.parked) {
             self.resolve_load(seq, now, port);
         }
     }
@@ -474,13 +484,10 @@ impl OooCore {
             };
             if head.state == St::Done && head.done_at <= now {
                 let e = self.rob.pop_front().expect("front checked above");
-                self.waiters.remove(&e.seq);
                 self.stats.retired += 1;
                 retired_now += 1;
                 match e.kind {
                     EntryKind::Load => {
-                        debug_assert_eq!(self.lsq.front().map(|s| s.seq), Some(e.seq));
-                        self.lsq.pop_front();
                         self.stats.loads += 1;
                         self.lq_used -= 1;
                         let served = e.served.unwrap_or(ServedBy::L1);
@@ -503,8 +510,8 @@ impl OooCore {
                         }
                     }
                     EntryKind::Store => {
-                        debug_assert_eq!(self.lsq.front().map(|s| s.seq), Some(e.seq));
-                        self.lsq.pop_front();
+                        debug_assert_eq!(self.sq.front().map(|s| s.seq), Some(e.seq));
+                        self.sq.pop_front();
                         self.stats.stores += 1;
                         self.sq_used -= 1;
                         port.issue_store(
@@ -530,7 +537,10 @@ impl OooCore {
         }
     }
 
+    /// Fetches and dispatches up to `fetch_width` instructions, recording
+    /// in `fetch_blocked` whether a full RS or LQ/SQ stopped it.
     fn fetch_and_dispatch(&mut self, now: Cycle) {
+        self.fetch_blocked = None;
         if now < self.fetch_stall_until {
             return;
         }
@@ -540,6 +550,7 @@ impl OooCore {
             }
             if self.rs_used >= self.ooo.rs_entries {
                 self.stats.rs_full_stalls += 1;
+                self.fetch_blocked = Some(FetchBlock::Rs);
                 break;
             }
             let instr = match self.pending.take() {
@@ -550,6 +561,7 @@ impl OooCore {
                 Some(m) if m.kind == MemKind::Load => {
                     if self.lq_used >= self.cfg.lq_size {
                         self.stats.lsq_full_stalls += 1;
+                        self.fetch_blocked = Some(FetchBlock::Lsq);
                         self.pending = Some(instr);
                         break;
                     }
@@ -558,6 +570,7 @@ impl OooCore {
                 Some(_) => {
                     if self.sq_used >= self.cfg.sq_size {
                         self.stats.lsq_full_stalls += 1;
+                        self.fetch_blocked = Some(FetchBlock::Lsq);
                         self.pending = Some(instr);
                         break;
                     }
@@ -573,7 +586,7 @@ impl OooCore {
     }
 
     /// Dispatches one instruction: renames sources through the RAT,
-    /// claims an RS entry (and an LSQ slot for memory ops), and wakes the
+    /// claims an RS entry (and an SQ slot for stores), and wakes the
     /// instruction immediately if its operands are already known. Returns
     /// true if fetch must stop (branch misprediction bubble).
     fn dispatch(&mut self, instr: Instr, now: Cycle) -> bool {
@@ -596,7 +609,10 @@ impl OooCore {
                 deps[slot] = Some(match self.rat[*r as usize] {
                     RatEntry::ReadyAt(t) => SrcDep::Ready(t),
                     RatEntry::PendingOn(p) => {
-                        self.waiters.entry(p).or_default().push(seq);
+                        // A renamed producer has not completed, so it is
+                        // still in the ROB.
+                        let pidx = self.entry_index(p).expect("pending producer in ROB");
+                        self.rob[pidx].dependents.push(seq);
                         SrcDep::On(p)
                     }
                 });
@@ -618,10 +634,9 @@ impl OooCore {
             self.rat[d as usize] = RatEntry::PendingOn(seq);
         }
 
-        if let Some(m) = instr.mem {
-            self.lsq.push_back(LsqSlot {
+        if let Some(m) = instr.mem.filter(|m| m.kind == MemKind::Store) {
+            self.sq.push_back(SqSlot {
                 seq,
-                store: m.kind == MemKind::Store,
                 addr_known: false,
                 word: m.vaddr.raw() >> 3,
             });
@@ -642,6 +657,7 @@ impl OooCore {
             served: None,
             issued_mem: false,
             blocked_cycles: 0,
+            dependents: Vec::new(),
         });
         self.rs_used += 1;
 
@@ -681,32 +697,29 @@ impl OooCore {
     /// the RAT (unless a younger producer renamed the register), releases
     /// a misprediction fetch bubble, and wakes dependents.
     fn complete(&mut self, seq: u64, done: Cycle) {
-        if let Some(idx) = self.entry_index(seq) {
-            let e = &mut self.rob[idx];
-            e.state = St::Done;
-            e.done_at = done;
-            let (dst, mispredicted) = (e.dst, e.mispredicted);
-            if let Some(d) = dst {
-                if self.rat[d as usize] == RatEntry::PendingOn(seq) {
-                    self.rat[d as usize] = RatEntry::ReadyAt(done);
-                }
-            }
-            if mispredicted {
-                self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
+        let idx = self.entry_index(seq).expect("completing entry in ROB");
+        let e = &mut self.rob[idx];
+        e.state = St::Done;
+        e.done_at = done;
+        let (dst, mispredicted) = (e.dst, e.mispredicted);
+        let dependents = std::mem::take(&mut e.dependents);
+        if let Some(d) = dst {
+            if self.rat[d as usize] == RatEntry::PendingOn(seq) {
+                self.rat[d as usize] = RatEntry::ReadyAt(done);
             }
         }
-        if let Some(dependents) = self.waiters.remove(&seq) {
-            for dep_seq in dependents {
-                let Some(didx) = self.entry_index(dep_seq) else {
-                    continue;
-                };
-                for d in self.rob[didx].deps.iter_mut().flatten() {
-                    if *d == SrcDep::On(seq) {
-                        *d = SrcDep::Ready(done);
-                    }
+        if mispredicted {
+            self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
+        }
+        // Dependents are younger than their producer, so still in the ROB.
+        for dep_seq in dependents {
+            let didx = self.entry_index(dep_seq).expect("dependent in ROB");
+            for d in self.rob[didx].deps.iter_mut().flatten() {
+                if *d == SrcDep::On(seq) {
+                    *d = SrcDep::Ready(done);
                 }
-                self.try_wake(dep_seq);
             }
+            self.try_wake(dep_seq);
         }
     }
 }
@@ -863,6 +876,14 @@ mod tests {
                 core.finish_load(tok, now, self.served);
             }
         }
+
+        fn next_due(&self) -> Cycle {
+            self.pending
+                .iter()
+                .map(|&(t, _)| t)
+                .min()
+                .unwrap_or(Cycle::MAX)
+        }
     }
 
     impl MemoryPort for StubMem {
@@ -894,6 +915,63 @@ mod tests {
             mem.deliver_due(now, core);
             core.tick(now, mem);
         }
+    }
+
+    /// Runs `cycles` cycles the way `System::run` does with fast-forward
+    /// on: before each tick, jump to the earlier of the core's
+    /// `next_work_at` and the next memory delivery, accounting the gap
+    /// through `skip_stalled`. Returns the number of skipped cycles.
+    fn run_skipping(core: &mut OooCore, mem: &mut StubMem, cycles: Cycle) -> u64 {
+        let (mut now, mut skipped) = (0, 0);
+        while now < cycles {
+            let target = core.next_work_at().min(mem.next_due()).min(cycles);
+            if target > now {
+                core.skip_stalled(target - now);
+                skipped += target - now;
+                now = target;
+                continue;
+            }
+            mem.deliver_due(now, core);
+            core.tick(now, mem);
+            now += 1;
+        }
+        skipped
+    }
+
+    /// Runs one core ticked through every cycle and an identical one
+    /// under [`run_skipping`]; both must end with identical statistics,
+    /// and the skipping one must actually have skipped. Returns the
+    /// ticked core's statistics.
+    fn assert_skip_exact(cfg: CoreConfig, instrs: Vec<Instr>, latency: Cycle) -> CoreStats {
+        let mut ticked = mk(cfg.clone(), instrs.clone());
+        let mut skipping = mk(cfg, instrs);
+        let mut mem_t = StubMem::new(latency, ServedBy::Dram);
+        let mut mem_s = StubMem::new(latency, ServedBy::Dram);
+        run(&mut ticked, &mut mem_t, 5_000);
+        let skipped = run_skipping(&mut skipping, &mut mem_s, 5_000);
+        assert!(skipped > 0, "fast-forward never skipped a cycle");
+        assert!(ticked.retired() > 0);
+        assert_eq!(ticked.stats(), skipping.stats());
+        *ticked.stats()
+    }
+
+    /// Independent loads behind a 2-entry LQ.
+    fn lq_starved() -> (CoreConfig, Vec<Instr>) {
+        let cfg = CoreConfig {
+            lq_size: 2,
+            ..CoreConfig::baseline()
+        };
+        let instrs = (0..4)
+            .map(|i| {
+                Instr::load(
+                    0x400000 + i * 4,
+                    VirtAddr::new(0x1000 * (i + 1)),
+                    Some(8 + i as u8),
+                    [None, None],
+                )
+            })
+            .collect();
+        (cfg, instrs)
     }
 
     fn chase() -> Vec<Instr> {
@@ -1121,20 +1199,7 @@ mod tests {
 
     #[test]
     fn lsq_full_counts_dispatch_stalls() {
-        let cfg = CoreConfig {
-            lq_size: 2,
-            ..CoreConfig::baseline()
-        };
-        let instrs: Vec<Instr> = (0..4)
-            .map(|i| {
-                Instr::load(
-                    0x400000 + i * 4,
-                    VirtAddr::new(0x1000 * (i + 1)),
-                    Some(8 + i as u8),
-                    [None, None],
-                )
-            })
-            .collect();
+        let (cfg, instrs) = lq_starved();
         let mut core = mk(cfg, instrs);
         let mut mem = StubMem::new(500, ServedBy::Dram);
         // Stop before the first completion: no LQ slot is ever recycled,
@@ -1228,6 +1293,83 @@ mod tests {
         assert_eq!(ticked.stats(), skipped.stats());
         assert!(ticked.stats().stall_cycles_offchip >= 500);
         assert!(ticked.stats().rob_occupancy_sum > 0);
+    }
+
+    #[test]
+    fn lq_full_behind_outstanding_load_never_wakes() {
+        let (cfg, instrs) = lq_starved();
+        let mut core = mk(cfg, instrs);
+        let mut mem = StubMem::new(1_000_000, ServedBy::Dram);
+        for now in 0..10 {
+            core.tick(now, &mut mem);
+        }
+        assert_eq!(core.lsq_occupancy(), 2);
+        assert_eq!(
+            core.next_work_at(),
+            Cycle::MAX,
+            "a full LQ frees only at retirement, which needs the memory system"
+        );
+    }
+
+    #[test]
+    fn skip_stalled_matches_ticked_lq_full() {
+        let (cfg, instrs) = lq_starved();
+        let s = assert_skip_exact(cfg, instrs, 500);
+        assert!(s.lsq_full_stalls > 0);
+    }
+
+    #[test]
+    fn skip_stalled_matches_ticked_rs_full() {
+        let tiny = OooConfig {
+            rs_entries: 4,
+            ..OooConfig::baseline()
+        };
+        let cfg = CoreConfig::baseline().with_model(CoreModel::OoO(tiny));
+        let s = assert_skip_exact(cfg, chase(), 500);
+        assert!(s.rs_full_stalls > 0);
+    }
+
+    #[test]
+    fn skip_stalled_stops_at_bubble_end_under_full_lq_or_rs() {
+        // A branch that always mispredicts resolves long before an
+        // off-chip load returns. Its bubble ends while the LQ (or the RS)
+        // is full, so from that cycle on every tick counts a dispatch
+        // stall: a skipped span that ran past the bubble's end would
+        // miss them.
+        let always_taken = CoreConfig {
+            branch_predictor: BranchKind::AlwaysTaken,
+            ..CoreConfig::baseline()
+        };
+        let branch = Instr::branch(0x400010, false, None);
+
+        // Two independent loads fill a 2-entry LQ; the next load fetched
+        // after the bubble finds it full.
+        let lq = CoreConfig {
+            lq_size: 2,
+            ..always_taken.clone()
+        };
+        let loads = vec![
+            Instr::load(0x400000, VirtAddr::new(0x1000), Some(8), [None, None]),
+            Instr::load(0x400004, VirtAddr::new(0x2000), Some(9), [None, None]),
+            branch,
+        ];
+        let s = assert_skip_exact(lq, loads, 500);
+        assert!(s.flushes > 0 && s.lsq_full_stalls > 0);
+
+        // Two ALU ops waiting on the load hold two of three RS entries;
+        // after the bubble the freed entry refills and dispatch stalls.
+        let rs = always_taken.with_model(CoreModel::OoO(OooConfig {
+            rs_entries: 3,
+            ..OooConfig::baseline()
+        }));
+        let waiters = vec![
+            Instr::load(0x400000, VirtAddr::new(0x1000), Some(8), [None, None]),
+            Instr::alu(0x400004, Some(9), [Some(8), None]),
+            Instr::alu(0x400008, Some(10), [Some(8), None]),
+            branch,
+        ];
+        let s = assert_skip_exact(rs, waiters, 500);
+        assert!(s.flushes > 0 && s.rs_full_stalls > 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use hermes_repro::hermes_cache::CoherenceConfig;
 use hermes_repro::hermes_cpu::{CoreModel, OooConfig};
 use hermes_repro::hermes_sim::{system::run_one, RunStats, System, SystemConfig};
 use hermes_repro::hermes_trace::suite;
+use hermes_repro::hermes_vm::VmConfig;
 
 /// Canonical rendering of every deterministic counter, including the
 /// OoO-only ones (zero under the legacy model).
@@ -97,7 +98,35 @@ fn fast_forward_is_cycle_exact_under_ooo() {
             ooo(SystemConfig::baseline_1c())
                 .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
         ),
+        // `ooo_sweep`'s starved LSQ point: dispatch stalls on a full
+        // LQ/SQ, which fast-forward skips.
+        (
+            "ooo-lsq16x8",
+            ooo(SystemConfig::baseline_1c()
+                .with_rob(256)
+                .with_lq(16)
+                .with_sq(8)),
+        ),
+        // A small scheduler: dispatch stalls on a full RS.
+        (
+            "ooo-rs16",
+            SystemConfig::baseline_1c().with_core_model(CoreModel::OoO(OooConfig {
+                rs_entries: 16,
+                ..OooConfig::baseline()
+            })),
+        ),
+        // The `ooo-vm-4c` benchmark shape: four OoO cores with page walks
+        // sharing one DRAM channel.
+        (
+            "ooo-vm-4c",
+            ooo(SystemConfig {
+                cores: 4,
+                ..SystemConfig::baseline_1c()
+            })
+            .with_vm(VmConfig::baseline()),
+        ),
     ];
+    let (mut rs_stalls, mut lsq_stalls) = (0, 0);
     for (name, cfg) in configs {
         for spec in [&smoke[0], &smoke[1], &smoke[3]] {
             let off = run_one(cfg.clone().with_fast_forward(false), spec, 3_000, 8_000);
@@ -108,8 +137,15 @@ fn fast_forward_is_cycle_exact_under_ooo() {
                 "fast-forward changed OoO results for {name}/{}",
                 spec.name
             );
+            for c in &off.cores {
+                rs_stalls += c.core.rs_full_stalls;
+                lsq_stalls += c.core.lsq_full_stalls;
+            }
         }
     }
+    // Both dispatch-stall skips must have been exercised.
+    assert!(rs_stalls > 0, "no input stalled dispatch on a full RS");
+    assert!(lsq_stalls > 0, "no input stalled dispatch on a full LQ/SQ");
 }
 
 #[test]
