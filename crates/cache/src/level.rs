@@ -330,10 +330,16 @@ impl<W> CacheLevel<W> {
         res
     }
 
-    /// Completes the outstanding miss for `line` in `core`'s MSHR table.
-    pub fn mshr_complete(&mut self, core: usize, line: LineAddr) -> Option<(Vec<W>, bool)> {
+    /// Completes the outstanding miss for `line` in `core`'s MSHR table,
+    /// swapping its waiters into `waiters`; see [`MshrTable::complete`].
+    pub fn mshr_complete(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        waiters: &mut Vec<W>,
+    ) -> Option<bool> {
         let slot = self.slot(core);
-        let res = self.mshrs[slot].complete(line);
+        let res = self.mshrs[slot].complete(line, waiters);
         if res.is_some() {
             self.epochs[slot] += 1;
         }

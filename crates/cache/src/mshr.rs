@@ -4,6 +4,12 @@
 //! requests to the same line (no duplicate traffic to the next level). The
 //! waiter payload is generic: the hierarchy engine stores whatever it needs
 //! to resume each merged requester when the fill arrives.
+//!
+//! A register keeps its waiter list across misses. Completion swaps the
+//! list with an empty buffer the caller owns, so the register goes back
+//! to the free pool holding the caller's old allocation and the caller
+//! walks the waiters in its own. Once every register and the caller's
+//! buffers have grown to their working size, a miss allocates nothing.
 
 use hermes_types::LineAddr;
 
@@ -40,11 +46,16 @@ struct Entry<T> {
 /// let line = LineAddr::new(7);
 /// assert!(t.allocate(line, 1, false).unwrap()); // new entry
 /// assert!(!t.allocate(line, 2, false).unwrap()); // merged
-/// assert_eq!(t.complete(line).unwrap().0, vec![1, 2]);
+/// let mut waiters = Vec::new();
+/// assert_eq!(t.complete(line, &mut waiters), Some(false)); // demand, not prefetch-only
+/// assert_eq!(waiters, vec![1, 2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrTable<T> {
+    /// Registers: the first `live` are outstanding misses; the rest are
+    /// free and hold empty waiter lists for reuse.
     entries: Vec<Entry<T>>,
+    live: usize,
     capacity: usize,
 }
 
@@ -58,8 +69,17 @@ impl<T> MshrTable<T> {
         assert!(capacity > 0, "MSHR table needs at least one register");
         Self {
             entries: Vec::with_capacity(capacity),
+            live: 0,
             capacity,
         }
+    }
+
+    fn outstanding(&self) -> &[Entry<T>] {
+        &self.entries[..self.live]
+    }
+
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.outstanding().iter().position(|e| e.line == line)
     }
 
     /// Registers a miss for `line` carrying `waiter`.
@@ -78,65 +98,80 @@ impl<T> MshrTable<T> {
         waiter: T,
         is_prefetch: bool,
     ) -> Result<bool, MshrFull> {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
+        if let Some(pos) = self.position(line) {
+            let e = &mut self.entries[pos];
             e.waiters.push(waiter);
             e.prefetch_only &= is_prefetch;
             return Ok(false);
         }
-        if self.entries.len() == self.capacity {
+        if self.live == self.capacity {
             return Err(MshrFull);
         }
-        self.entries.push(Entry {
-            line,
-            waiters: vec![waiter],
-            prefetch_only: is_prefetch,
-        });
+        if self.live == self.entries.len() {
+            self.entries.push(Entry {
+                line,
+                waiters: Vec::new(),
+                prefetch_only: is_prefetch,
+            });
+        }
+        let e = &mut self.entries[self.live];
+        debug_assert!(e.waiters.is_empty(), "free register holds waiters");
+        e.line = line;
+        e.prefetch_only = is_prefetch;
+        e.waiters.push(waiter);
+        self.live += 1;
         Ok(true)
     }
 
     /// Whether a miss to `line` is already outstanding.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.position(line).is_some()
     }
 
     /// Whether the outstanding entry for `line` (if any) is still
     /// prefetch-only.
     pub fn is_prefetch_only(&self, line: LineAddr) -> Option<bool> {
-        self.entries
-            .iter()
-            .find(|e| e.line == line)
-            .map(|e| e.prefetch_only)
+        self.position(line)
+            .map(|pos| self.entries[pos].prefetch_only)
     }
 
     /// Upgrades an outstanding prefetch-only entry to demand status without
     /// adding a waiter. Returns whether the entry existed.
     pub fn mark_demand(&mut self, line: LineAddr) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.prefetch_only = false;
-            true
-        } else {
-            false
+        match self.position(line) {
+            Some(pos) => {
+                self.entries[pos].prefetch_only = false;
+                true
+            }
+            None => false,
         }
     }
 
     /// Completes the miss for `line`, releasing the register.
     ///
-    /// Returns the merged waiters and whether the entry remained
-    /// prefetch-only, or `None` if no entry matches.
-    pub fn complete(&mut self, line: LineAddr) -> Option<(Vec<T>, bool)> {
-        let pos = self.entries.iter().position(|e| e.line == line)?;
-        let e = self.entries.swap_remove(pos);
-        Some((e.waiters, e.prefetch_only))
+    /// The merged waiters, in arrival order, are swapped into `waiters`
+    /// (whose previous contents are discarded); the register keeps the
+    /// buffer `waiters` held, emptied. Returns whether the entry remained
+    /// prefetch-only, or `None` (with `waiters` untouched) if no entry
+    /// matches.
+    pub fn complete(&mut self, line: LineAddr, waiters: &mut Vec<T>) -> Option<bool> {
+        let pos = self.position(line)?;
+        waiters.clear();
+        self.live -= 1;
+        self.entries.swap(pos, self.live);
+        let e = &mut self.entries[self.live];
+        std::mem::swap(&mut e.waiters, waiters);
+        Some(e.prefetch_only)
     }
 
     /// Number of registers currently in use.
     pub fn in_use(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether every register is occupied.
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.live == self.capacity
     }
 
     /// Total capacity.
@@ -156,9 +191,9 @@ mod tests {
         assert_eq!(t.allocate(l, 1, false), Ok(true));
         assert_eq!(t.allocate(l, 2, false), Ok(false));
         assert_eq!(t.in_use(), 1);
-        let (w, pf) = t.complete(l).unwrap();
+        let mut w = Vec::new();
+        assert_eq!(t.complete(l, &mut w), Some(false));
         assert_eq!(w, vec![1, 2]);
-        assert!(!pf);
         assert_eq!(t.in_use(), 0);
     }
 
@@ -179,8 +214,7 @@ mod tests {
         let l = LineAddr::new(5);
         t.allocate(l, 0, true).unwrap();
         t.allocate(l, 1, false).unwrap();
-        let (_, pf) = t.complete(l).unwrap();
-        assert!(!pf);
+        assert_eq!(t.complete(l, &mut Vec::new()), Some(false));
     }
 
     #[test]
@@ -188,8 +222,7 @@ mod tests {
         let mut t: MshrTable<u8> = MshrTable::new(2);
         let l = LineAddr::new(6);
         t.allocate(l, 0, true).unwrap();
-        let (_, pf) = t.complete(l).unwrap();
-        assert!(pf);
+        assert_eq!(t.complete(l, &mut Vec::new()), Some(true));
     }
 
     #[test]
@@ -198,15 +231,65 @@ mod tests {
         let l = LineAddr::new(7);
         t.allocate(l, 0, true).unwrap();
         assert!(t.mark_demand(l));
-        let (_, pf) = t.complete(l).unwrap();
-        assert!(!pf);
+        assert_eq!(t.complete(l, &mut Vec::new()), Some(false));
         assert!(!t.mark_demand(l));
     }
 
     #[test]
     fn complete_missing_line_is_none() {
         let mut t: MshrTable<u8> = MshrTable::new(1);
-        assert!(t.complete(LineAddr::new(42)).is_none());
+        assert!(t.complete(LineAddr::new(42), &mut Vec::new()).is_none());
+    }
+
+    #[test]
+    fn reused_register_starts_fresh() {
+        let mut t: MshrTable<u8> = MshrTable::new(2);
+        let (a, b, c) = (LineAddr::new(1), LineAddr::new(2), LineAddr::new(3));
+        // Register 0 holds a prefetch-only miss with three waiters.
+        t.allocate(a, 1, true).unwrap();
+        t.allocate(a, 2, true).unwrap();
+        t.allocate(a, 3, true).unwrap();
+        t.allocate(b, 9, false).unwrap();
+        let mut w = Vec::new();
+        assert_eq!(t.complete(a, &mut w), Some(true));
+        assert_eq!(w, vec![1, 2, 3]);
+        // The freed register is reallocated for a demand miss: only the
+        // new waiters, in arrival order, and no prefetch-only carry-over.
+        assert_eq!(t.allocate(c, 7, false), Ok(true));
+        assert_eq!(t.allocate(c, 5, false), Ok(false));
+        assert_eq!(t.in_use(), 2);
+        assert!(t.is_full());
+        assert_eq!(t.is_prefetch_only(c), Some(false));
+        assert!(!t.contains(a));
+        let mut w2 = Vec::new();
+        assert_eq!(t.complete(c, &mut w2), Some(false));
+        assert_eq!(w2, vec![7, 5]);
+        // A prefetch allocated into the register a demand just left is
+        // prefetch-only again.
+        assert_eq!(t.allocate(a, 4, true), Ok(true));
+        assert_eq!(t.is_prefetch_only(a), Some(true));
+        // The survivor is untouched by its neighbours' reuse.
+        w.clear();
+        assert_eq!(t.complete(b, &mut w), Some(false));
+        assert_eq!(w, vec![9]);
+    }
+
+    #[test]
+    fn completion_recycles_the_callers_buffer() {
+        let mut t: MshrTable<u32> = MshrTable::new(1);
+        let l = LineAddr::new(1);
+        let mut buf: Vec<u32> = Vec::with_capacity(16);
+        let ptr = buf.as_ptr();
+        t.allocate(l, 1, false).unwrap();
+        t.complete(l, &mut buf).unwrap();
+        assert_eq!(buf, vec![1]);
+        buf.clear();
+        // The register now owns the 16-slot buffer: a new miss reuses it.
+        t.allocate(l, 2, false).unwrap();
+        let mut out = Vec::new();
+        t.complete(l, &mut out).unwrap();
+        assert_eq!(out.as_ptr(), ptr);
+        assert!(out.capacity() >= 16);
     }
 
     #[test]

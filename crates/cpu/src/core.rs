@@ -9,7 +9,7 @@
 //! hurt and where Hermes wins its cycles back.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use hermes_trace::{Instr, MemKind, TraceSource};
 use hermes_types::{CoreId, Cycle, VirtAddr};
@@ -17,6 +17,7 @@ use hermes_types::{CoreId, Cycle, VirtAddr};
 use crate::branch::{self, BranchPredictor};
 use crate::config::CoreConfig;
 use crate::port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
+use crate::rob::RobRing;
 use crate::stats::CoreStats;
 
 /// A source operand: either available at a known cycle or produced by an
@@ -54,9 +55,9 @@ enum EntryState {
     Done(Cycle),
 }
 
-#[derive(Debug)]
+/// One in-flight instruction; its dependents live in the ROB ring slot.
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     kind: EntryKind,
     state: EntryState,
     dispatch_at: Cycle,
@@ -68,8 +69,6 @@ struct RobEntry {
     mispredicted: bool,
     served: Option<ServedBy>,
     blocked_cycles: u64,
-    /// Younger entries waiting on this one's result, in dispatch order.
-    dependents: Vec<u64>,
 }
 
 /// One simulated out-of-order core.
@@ -81,8 +80,7 @@ pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
-    rob: VecDeque<RobEntry>,
-    next_seq: u64,
+    rob: RobRing<RobEntry>,
     regs: Vec<RegState>,
     agen_events: BinaryHeap<Reverse<(Cycle, u64)>>,
     lq_used: usize,
@@ -109,10 +107,9 @@ impl Core {
         let bp = branch::build(cfg.branch_predictor);
         Self {
             id,
+            rob: RobRing::new(cfg.rob_size),
             cfg,
             trace,
-            rob: VecDeque::with_capacity(512),
-            next_seq: 0,
             regs: vec![RegState::ReadyAt(0); hermes_trace::instr::NUM_REGS],
             agen_events: BinaryHeap::new(),
             lq_used: 0,
@@ -147,19 +144,6 @@ impl Core {
     /// kept, matching the paper's warmup/measurement methodology.
     pub fn reset_stats(&mut self) {
         self.stats = CoreStats::default();
-    }
-
-    fn entry_index(&self, seq: u64) -> Option<usize> {
-        let head = self.rob.front()?.seq;
-        if seq < head {
-            return None;
-        }
-        let idx = (seq - head) as usize;
-        if idx < self.rob.len() {
-            Some(idx)
-        } else {
-            None
-        }
     }
 
     /// Advances the core by one cycle.
@@ -227,16 +211,13 @@ impl Core {
                 break;
             }
             self.agen_events.pop();
-            let (core_id, pc, vaddr) = {
-                let idx = self.entry_index(seq).expect("agen event for retired entry");
-                let e = &mut self.rob[idx];
-                debug_assert_eq!(e.state, EntryState::WaitingAgen);
-                e.state = EntryState::WaitingMem;
-                (self.id, e.pc, e.vaddr)
-            };
+            let e = self.rob.get_mut(seq).expect("agen event for retired entry");
+            debug_assert_eq!(e.state, EntryState::WaitingAgen);
+            e.state = EntryState::WaitingMem;
+            let (pc, vaddr) = (e.pc, e.vaddr);
             port.issue_load(
                 LoadIssue {
-                    core: core_id,
+                    core: self.id,
                     token: seq,
                     pc,
                     vaddr,
@@ -339,8 +320,7 @@ impl Core {
     /// Dispatches one instruction; returns true if fetch must stop (branch
     /// misprediction bubble).
     fn dispatch(&mut self, instr: Instr, now: Cycle) -> bool {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.rob.next_seq();
 
         let kind = if instr.is_load() {
             EntryKind::Load
@@ -361,8 +341,7 @@ impl Core {
                     RegState::PendingOn(p) => {
                         // A producer without a known completion is still
                         // in the ROB.
-                        let pidx = self.entry_index(p).expect("pending producer in ROB");
-                        self.rob[pidx].dependents.push(seq);
+                        self.rob.add_dependent(p, seq);
                         SrcDep::On(p)
                     }
                 });
@@ -383,8 +362,7 @@ impl Core {
             self.regs[d as usize] = RegState::PendingOn(seq);
         }
 
-        self.rob.push_back(RobEntry {
-            seq,
+        self.rob.push(RobEntry {
             kind,
             state: EntryState::WaitingDeps,
             dispatch_at: now,
@@ -396,7 +374,6 @@ impl Core {
             mispredicted,
             served: None,
             blocked_cycles: 0,
-            dependents: Vec::new(),
         });
 
         if mispredicted {
@@ -413,10 +390,9 @@ impl Core {
     /// Attempts to compute the entry's execution schedule; no-op unless all
     /// dependencies are resolved.
     fn try_schedule(&mut self, seq: u64) {
-        let Some(idx) = self.entry_index(seq) else {
+        let Some(e) = self.rob.get_mut(seq) else {
             return;
         };
-        let e = &self.rob[idx];
         if e.state != EntryState::WaitingDeps {
             return;
         }
@@ -427,7 +403,6 @@ impl Core {
                 SrcDep::On(_) => return,
             }
         }
-        let e = &mut self.rob[idx];
         match e.kind {
             EntryKind::Load => {
                 // One cycle of address generation, then out to memory.
@@ -455,10 +430,10 @@ impl Core {
     /// Panics if `token` does not name an in-flight load (a memory-system
     /// protocol violation).
     pub fn finish_load(&mut self, token: u64, now: Cycle, served: ServedBy) {
-        let idx = self
-            .entry_index(token)
+        let e = self
+            .rob
+            .get_mut(token)
             .expect("finish_load for unknown token");
-        let e = &mut self.rob[idx];
         assert_eq!(
             e.state,
             EntryState::WaitingMem,
@@ -474,10 +449,8 @@ impl Core {
     /// completion becomes known propagates its own through
     /// `try_schedule` -> `on_complete`.
     fn on_complete(&mut self, seq: u64, done: Cycle) {
-        let idx = self.entry_index(seq).expect("completing entry in ROB");
-        let e = &mut self.rob[idx];
+        let e = self.rob.get(seq).expect("completing entry in ROB");
         let (dst, mispredicted) = (e.dst, e.mispredicted);
-        let dependents = std::mem::take(&mut e.dependents);
         // Scoreboard update (unless a younger producer overwrote the reg).
         if let Some(d) = dst {
             if self.regs[d as usize] == RegState::PendingOn(seq) {
@@ -488,15 +461,17 @@ impl Core {
             self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
         }
         // Dependents are younger than their producer, so still in the ROB.
-        for dep_seq in dependents {
-            let didx = self.entry_index(dep_seq).expect("dependent in ROB");
-            for d in self.rob[didx].deps.iter_mut().flatten() {
+        let dependents = self.rob.take_dependents(seq);
+        for &dep_seq in &dependents {
+            let dep = self.rob.get_mut(dep_seq).expect("dependent in ROB");
+            for d in dep.deps.iter_mut().flatten() {
                 if *d == SrcDep::On(seq) {
                     *d = SrcDep::Ready(done);
                 }
             }
             self.try_schedule(dep_seq);
         }
+        self.rob.restore_dependents(seq, dependents);
     }
 
     /// Current ROB occupancy (diagnostics / tests).
@@ -746,6 +721,30 @@ mod tests {
             core.tick(now, &mut mem);
             assert!(core.rob_occupancy() <= 64);
         }
+    }
+
+    #[test]
+    fn non_power_of_two_rob_fills_to_its_size() {
+        // A 200-entry ROB lives in a 256-slot ring; dispatch must still
+        // stop at 200.
+        let src = Box::new(VecSource::new(
+            "chase",
+            vec![
+                Instr::load(0x400000, VirtAddr::new(0x1000), Some(1), [Some(1), None]),
+                Instr::alu(0x400004, Some(2), [None, None]),
+            ],
+        ));
+        let cfg = CoreConfig {
+            rob_size: 200,
+            ..CoreConfig::baseline()
+        };
+        let mut core = Core::new(0, cfg, src);
+        let mut mem = StubMem::new(10_000, ServedBy::Dram);
+        for now in 0..200 {
+            core.tick(now, &mut mem);
+        }
+        assert_eq!(core.rob_occupancy(), 200);
+        assert_eq!(core.next_work_at(), Cycle::MAX);
     }
 
     #[test]

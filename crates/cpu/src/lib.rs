@@ -22,6 +22,9 @@
 //!   deep-ROB overlap argument. It lives in its own crate so this one
 //!   stays the dependency root both models build on.
 //!
+//! Both models keep their in-flight window in [`rob::RobRing`], a
+//! power-of-two ring of reusable slots addressed by sequence number.
+//!
 //! Simplifications relative to a full RTL-level model, none of which affect
 //! the paper's measured effects: no wrong-path execution (a mispredicted
 //! branch injects a fetch bubble of `exec + penalty` cycles), no functional
@@ -32,6 +35,7 @@ pub mod branch;
 pub mod config;
 pub mod core;
 pub mod port;
+pub mod rob;
 pub mod stats;
 
 pub use crate::core::Core;

@@ -48,6 +48,13 @@
 //! addresses resolve by binary search, and parked loads sit on their own
 //! list.
 //!
+//! The ROB is the [`RobRing`] the legacy core uses too: a power-of-two
+//! ring indexed by `seq & mask` (a 200-entry ROB gets 256 slots, and
+//! dispatch still stops at 200). Its slots are created on the first lap
+//! and rewritten in place, so each slot's dependents list keeps its
+//! capacity; with the parked-load lists also reused, the core allocates
+//! nothing per instruction once its structures reach working size.
+//!
 //! [`AnyCore`] is the config-driven dispatcher `hermes-sim` instantiates:
 //! `CoreModel::Legacy` (the default) wraps the unchanged legacy core, so
 //! every historical configuration stays byte-identical.
@@ -58,6 +65,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use hermes_cpu::branch::{self, BranchPredictor};
 use hermes_cpu::config::{CoreConfig, CoreModel, OooConfig};
 use hermes_cpu::port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
+use hermes_cpu::rob::RobRing;
 use hermes_cpu::stats::CoreStats;
 use hermes_cpu::Core;
 use hermes_trace::{Instr, MemKind, TraceSource};
@@ -105,9 +113,9 @@ enum St {
     Done,
 }
 
-#[derive(Debug)]
+/// One in-flight instruction; its dependents live in the ROB ring slot.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    seq: u64,
     kind: EntryKind,
     state: St,
     dispatch_at: Cycle,
@@ -121,8 +129,6 @@ struct Entry {
     served: Option<ServedBy>,
     issued_mem: bool,
     blocked_cycles: u64,
-    /// Younger entries waiting on this one's result, in dispatch order.
-    dependents: Vec<u64>,
 }
 
 /// One program-ordered store-queue slot. `word` is the 8-byte-word
@@ -149,8 +155,7 @@ pub struct OooCore {
     cfg: CoreConfig,
     ooo: OooConfig,
     trace: Box<dyn TraceSource>,
-    rob: VecDeque<Entry>,
-    next_seq: u64,
+    rob: RobRing<Entry>,
     rat: Vec<RatEntry>,
     /// Instructions with all operands known, keyed by the cycle their
     /// operands forward; select pops `issue_width` per cycle.
@@ -165,6 +170,9 @@ pub struct OooCore {
     sq_used: usize,
     /// Loads parked in `St::StoreWait`, oldest first.
     parked: Vec<u64>,
+    /// The list a re-check walks while loads re-park into `parked`;
+    /// kept empty between re-checks so its capacity is reused.
+    recheck: Vec<u64>,
     /// Skid buffer: an instruction pulled from the trace that could not
     /// enter its queue this cycle (nothing is dropped).
     pending: Option<Instr>,
@@ -196,8 +204,7 @@ impl OooCore {
         Self {
             id,
             trace,
-            rob: VecDeque::with_capacity(cfg.rob_size.min(1024)),
-            next_seq: 0,
+            rob: RobRing::new(cfg.rob_size),
             rat: vec![RatEntry::ReadyAt(0); hermes_trace::instr::NUM_REGS],
             ready: BinaryHeap::new(),
             events: BinaryHeap::new(),
@@ -206,6 +213,7 @@ impl OooCore {
             lq_used: 0,
             sq_used: 0,
             parked: Vec::new(),
+            recheck: Vec::new(),
             pending: None,
             fetch_stall_until: 0,
             fetch_blocked: None,
@@ -250,19 +258,6 @@ impl OooCore {
     /// Current load+store queue occupancy.
     pub fn lsq_occupancy(&self) -> usize {
         self.lq_used + self.sq_used
-    }
-
-    fn entry_index(&self, seq: u64) -> Option<usize> {
-        let head = self.rob.front()?.seq;
-        if seq < head {
-            return None;
-        }
-        let idx = (seq - head) as usize;
-        if idx < self.rob.len() {
-            Some(idx)
-        } else {
-            None
-        }
     }
 
     /// Advances the core by one cycle: completion events, select, retire,
@@ -342,10 +337,10 @@ impl OooCore {
     /// Panics if `token` does not name a load in the memory system (a
     /// memory-system protocol violation).
     pub fn finish_load(&mut self, token: u64, now: Cycle, served: ServedBy) {
-        let idx = self
-            .entry_index(token)
+        let e = self
+            .rob
+            .get_mut(token)
             .expect("finish_load for unknown token");
-        let e = &mut self.rob[idx];
         assert_eq!(e.state, St::Mem, "finish_load for load not in memory");
         e.served = Some(served);
         self.complete(token, now);
@@ -362,9 +357,9 @@ impl OooCore {
                 break;
             }
             self.events.pop();
-            let idx = self.entry_index(seq).expect("event for retired entry");
-            match self.rob[idx].state {
-                St::Agen => match self.rob[idx].kind {
+            let e = self.rob.get(seq).expect("event for retired entry");
+            match e.state {
+                St::Agen => match e.kind {
                     EntryKind::Load => self.resolve_load(seq, now, port),
                     EntryKind::Store => {
                         let slot = self
@@ -391,8 +386,7 @@ impl OooCore {
     /// unknown, forwards from the youngest matching older store, or
     /// issues it to the memory system.
     fn resolve_load(&mut self, seq: u64, now: Cycle, port: &mut dyn MemoryPort) {
-        let idx = self.entry_index(seq).expect("load entry present");
-        let word = self.rob[idx].vaddr.raw() >> 3;
+        let word = self.rob.get(seq).expect("load entry present").vaddr.raw() >> 3;
         let mut unknown_older = false;
         let mut forward = false;
         for s in self.sq.iter().take_while(|s| s.seq < seq) {
@@ -404,16 +398,16 @@ impl OooCore {
             }
             forward |= s.word == word;
         }
+        let e = self.rob.get_mut(seq).expect("load entry present");
         if unknown_older {
-            self.rob[idx].state = St::StoreWait;
+            e.state = St::StoreWait;
             let at = self.parked.partition_point(|&p| p < seq);
             self.parked.insert(at, seq);
         } else if forward {
             self.stats.forwarded_loads += 1;
-            self.rob[idx].served = Some(ServedBy::L1);
+            e.served = Some(ServedBy::L1);
             self.complete(seq, now + 1);
         } else {
-            let e = &mut self.rob[idx];
             e.state = St::Mem;
             e.issued_mem = true;
             let (pc, vaddr, dispatch_at) = (e.pc, e.vaddr, e.dispatch_at);
@@ -435,11 +429,15 @@ impl OooCore {
     /// Re-runs disambiguation for every parked load, oldest first, after
     /// one or more store addresses resolved this cycle. A load that is
     /// still blocked re-parks (in order, since the list is walked oldest
-    /// first).
+    /// first). The two lists swap roles, so neither is reallocated.
     fn recheck_parked_loads(&mut self, now: Cycle, port: &mut dyn MemoryPort) {
-        for seq in std::mem::take(&mut self.parked) {
+        let mut walk = std::mem::take(&mut self.recheck);
+        std::mem::swap(&mut walk, &mut self.parked);
+        for &seq in &walk {
             self.resolve_load(seq, now, port);
         }
+        walk.clear();
+        self.recheck = walk;
     }
 
     /// Select: starts up to `issue_width` ready instructions, oldest
@@ -456,20 +454,20 @@ impl OooCore {
                 break;
             }
             self.ready.pop();
-            let idx = self.entry_index(seq).expect("ready entry retired");
-            debug_assert_eq!(self.rob[idx].state, St::ReadyQ);
+            let e = self.rob.get_mut(seq).expect("ready entry retired");
+            debug_assert_eq!(e.state, St::ReadyQ);
             self.rs_used -= 1;
             started += 1;
-            match self.rob[idx].kind {
+            match e.kind {
                 EntryKind::Load | EntryKind::Store => {
-                    self.rob[idx].state = St::Agen;
+                    e.state = St::Agen;
                     self.events
                         .push(Reverse((now + self.ooo.agen_latency as Cycle, seq)));
                 }
                 EntryKind::Alu | EntryKind::Branch => {
-                    let lat = self.rob[idx].exec_latency as Cycle;
-                    self.rob[idx].state = St::Exec;
-                    self.events.push(Reverse((now + lat, seq)));
+                    e.state = St::Exec;
+                    self.events
+                        .push(Reverse((now + e.exec_latency as Cycle, seq)));
                 }
             }
         }
@@ -483,6 +481,7 @@ impl OooCore {
                 return;
             };
             if head.state == St::Done && head.done_at <= now {
+                let seq = self.rob.head_seq();
                 let e = self.rob.pop_front().expect("front checked above");
                 self.stats.retired += 1;
                 retired_now += 1;
@@ -505,12 +504,12 @@ impl OooCore {
                         if e.issued_mem {
                             // Close out the sampled lifecycle trace (the
                             // probe drops these for unsampled tokens).
-                            port.note_lifecycle(self.id, e.seq, e.done_at, "ooo_complete");
-                            port.note_lifecycle(self.id, e.seq, now, "ooo_retire");
+                            port.note_lifecycle(self.id, seq, e.done_at, "ooo_complete");
+                            port.note_lifecycle(self.id, seq, now, "ooo_retire");
                         }
                     }
                     EntryKind::Store => {
-                        debug_assert_eq!(self.sq.front().map(|s| s.seq), Some(e.seq));
+                        debug_assert_eq!(self.sq.front().map(|s| s.seq), Some(seq));
                         self.sq.pop_front();
                         self.stats.stores += 1;
                         self.sq_used -= 1;
@@ -590,8 +589,7 @@ impl OooCore {
     /// instruction immediately if its operands are already known. Returns
     /// true if fetch must stop (branch misprediction bubble).
     fn dispatch(&mut self, instr: Instr, now: Cycle) -> bool {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.rob.next_seq();
 
         let kind = if instr.is_load() {
             EntryKind::Load
@@ -611,8 +609,7 @@ impl OooCore {
                     RatEntry::PendingOn(p) => {
                         // A renamed producer has not completed, so it is
                         // still in the ROB.
-                        let pidx = self.entry_index(p).expect("pending producer in ROB");
-                        self.rob[pidx].dependents.push(seq);
+                        self.rob.add_dependent(p, seq);
                         SrcDep::On(p)
                     }
                 });
@@ -642,8 +639,7 @@ impl OooCore {
             });
         }
 
-        self.rob.push_back(Entry {
-            seq,
+        self.rob.push(Entry {
             kind,
             state: St::InRs,
             dispatch_at: now,
@@ -657,7 +653,6 @@ impl OooCore {
             served: None,
             issued_mem: false,
             blocked_cycles: 0,
-            dependents: Vec::new(),
         });
         self.rs_used += 1;
 
@@ -675,10 +670,9 @@ impl OooCore {
     /// queue at the cycle its last operand forwards (no earlier than one
     /// cycle after dispatch).
     fn try_wake(&mut self, seq: u64) {
-        let Some(idx) = self.entry_index(seq) else {
+        let Some(e) = self.rob.get_mut(seq) else {
             return;
         };
-        let e = &self.rob[idx];
         if e.state != St::InRs {
             return;
         }
@@ -689,7 +683,7 @@ impl OooCore {
                 SrcDep::On(_) => return,
             }
         }
-        self.rob[idx].state = St::ReadyQ;
+        e.state = St::ReadyQ;
         self.ready.push(Reverse((ready, seq)));
     }
 
@@ -697,12 +691,10 @@ impl OooCore {
     /// the RAT (unless a younger producer renamed the register), releases
     /// a misprediction fetch bubble, and wakes dependents.
     fn complete(&mut self, seq: u64, done: Cycle) {
-        let idx = self.entry_index(seq).expect("completing entry in ROB");
-        let e = &mut self.rob[idx];
+        let e = self.rob.get_mut(seq).expect("completing entry in ROB");
         e.state = St::Done;
         e.done_at = done;
         let (dst, mispredicted) = (e.dst, e.mispredicted);
-        let dependents = std::mem::take(&mut e.dependents);
         if let Some(d) = dst {
             if self.rat[d as usize] == RatEntry::PendingOn(seq) {
                 self.rat[d as usize] = RatEntry::ReadyAt(done);
@@ -712,15 +704,17 @@ impl OooCore {
             self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
         }
         // Dependents are younger than their producer, so still in the ROB.
-        for dep_seq in dependents {
-            let didx = self.entry_index(dep_seq).expect("dependent in ROB");
-            for d in self.rob[didx].deps.iter_mut().flatten() {
+        let dependents = self.rob.take_dependents(seq);
+        for &dep_seq in &dependents {
+            let dep = self.rob.get_mut(dep_seq).expect("dependent in ROB");
+            for d in dep.deps.iter_mut().flatten() {
                 if *d == SrcDep::On(seq) {
                     *d = SrcDep::Ready(done);
                 }
             }
             self.try_wake(dep_seq);
         }
+        self.rob.restore_dependents(seq, dependents);
     }
 }
 
@@ -1250,6 +1244,31 @@ mod tests {
         assert!(s.rob_occupancy_sum > 0);
         assert!(s.rob_occupancy_sum <= 512 * 500);
         assert!(s.rob_occupancy_sum / 500 > 4, "window never filled");
+    }
+
+    #[test]
+    fn non_power_of_two_rob_fills_to_its_size() {
+        // A 200-entry ROB lives in a 256-slot ring; dispatch must still
+        // stop at 200. The RS is larger than the ROB and half the
+        // instructions are ALU ops, so neither the RS nor the LQ binds.
+        let big_rs = OooConfig {
+            rs_entries: 256,
+            ..OooConfig::baseline()
+        };
+        let cfg = CoreConfig {
+            rob_size: 200,
+            ..CoreConfig::baseline()
+        }
+        .with_model(CoreModel::OoO(big_rs));
+        let mut instrs = chase();
+        instrs.push(Instr::alu(0x400004, Some(2), [Some(1), None]));
+        let mut core = mk(cfg, instrs);
+        let mut mem = StubMem::new(1_000_000, ServedBy::Dram);
+        for now in 0..200 {
+            core.tick(now, &mut mem);
+        }
+        assert_eq!(core.rob_occupancy(), 200);
+        assert_eq!(core.next_work_at(), Cycle::MAX);
     }
 
     #[test]

@@ -123,9 +123,21 @@
 //! and last-level lookups rejected by their MSHR tables still
 //! re-schedule themselves `mshr_retry` cycles later through the event
 //! queue.
+//!
+//! # Storage reuse
+//!
+//! Once warm, the hierarchy allocates nothing per access. An MSHR
+//! completion swaps the register's waiter list with an empty buffer from
+//! a small pool (one per completion in progress, since completions nest
+//! as a fill descends) and returns it after resuming the waiters. A page
+//! walk keeps its PTE lines and page-walk-cache keys in fixed arrays and
+//! hands its waiter list to the next walk. A wake walks its read list in
+//! a second buffer it keeps. The in-flight maps (loads, walks, pending
+//! upgrades) hash with [`hermes_types::IntHasher`]; nothing iterates them
+//! in an order-dependent way.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes::{
     CohEventTable, CohHints, Hmp, LoadContext, OffChipPredictor, Popet, Prediction, PredictorKind,
@@ -136,8 +148,8 @@ use hermes_cpu::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
 use hermes_dram::{Completion, MemoryController, ReqKind};
 use hermes_prefetch::{self as pf, AccessCtx, PrefetchReq, Prefetcher};
 use hermes_probe::{IntervalInput, LatClass, Probe, ProbeReport};
-use hermes_types::{CoreId, Cycle, LineAddr, PhysAddr, VirtAddr};
-use hermes_vm::{PageMap, Tlb, VmConfig, WalkCache};
+use hermes_types::{CoreId, Cycle, IntMap, IntSet, LineAddr, PhysAddr, VirtAddr};
+use hermes_vm::{PageMap, Tlb, VmConfig, WalkCache, MAX_WALK_LEVELS};
 
 use crate::config::SystemConfig;
 use crate::translate::translate;
@@ -403,10 +415,15 @@ struct Walk {
     stlb_key: u64,
     /// TLB index of the page.
     page_number: u64,
-    /// Remaining PTE lines, root → leaf; empty for an STLB refill.
-    steps: VecDeque<LineAddr>,
-    /// Page-walk-cache keys installed on completion.
-    pwc_fill: Vec<u64>,
+    /// PTE lines, root → leaf: `steps[next..len]` remain; none for an
+    /// STLB refill.
+    steps: [LineAddr; MAX_WALK_LEVELS],
+    next: usize,
+    len: usize,
+    /// Page-walk-cache keys installed on completion: the first
+    /// `pwc_len` of `pwc_fill`.
+    pwc_fill: [u64; MAX_WALK_LEVELS - 1],
+    pwc_len: usize,
     /// Walk start, for latency accounting; `None` for STLB refills
     /// (which are not page walks and stay out of the walk statistics).
     started: Option<Cycle>,
@@ -434,10 +451,12 @@ struct VmFrontend {
     stlbs: Vec<Tlb>,
     /// Per-core page-walk caches.
     pwcs: Vec<WalkCache>,
-    walks: HashMap<u64, Walk>,
+    walks: IntMap<u64, Walk>,
     /// `(core, dTLB key)` → in-flight walk, for same-page merging.
-    by_page: HashMap<(usize, u64), u64>,
+    by_page: IntMap<(usize, u64), u64>,
     next_walk: u64,
+    /// Emptied waiter lists of completed walks, handed to new ones.
+    spare_waiters: Vec<Vec<TransWaiter>>,
 }
 
 impl VmFrontend {
@@ -451,9 +470,10 @@ impl VmFrontend {
             pwcs: (0..cores)
                 .map(|_| WalkCache::new(cfg.pwc_entries))
                 .collect(),
-            walks: HashMap::new(),
-            by_page: HashMap::new(),
+            walks: IntMap::default(),
+            by_page: IntMap::default(),
             next_walk: 0,
+            spare_waiters: Vec::new(),
             cfg: cfg.clone(),
         }
     }
@@ -480,15 +500,21 @@ pub struct Hierarchy {
     prefetchers: Vec<Box<dyn Prefetcher>>,
     predictors: Vec<PredictorImpl>,
     pred_stats: Vec<PredictorStats>,
-    loads: HashMap<u64, LoadRec>,
+    loads: IntMap<u64, LoadRec>,
     events: BinaryHeap<Reverse<HeapEntry>>,
     seq: u64,
     finished: Vec<(usize, u64, ServedBy)>,
     stats: Vec<CoreHierStats>,
     dram_buf: Vec<Completion>,
     pf_buf: Vec<PrefetchReq>,
+    /// Empty waiter lists swapped into MSHR completions, one taken per
+    /// completion in progress (completions nest as fills descend).
+    waiter_bufs: Vec<Vec<Waiter>>,
     /// Per-core parked first-level accesses (see module docs).
     parked: Vec<ParkLists>,
+    /// The read list a wake walks while rejected reads re-park; kept
+    /// empty between wakes so its capacity is reused.
+    wake_reads: Vec<(LineAddr, ParkedRead)>,
     /// Whether any core's lists are non-empty: keeps the per-cycle wake
     /// check a single test while nothing is parked.
     parked_any: bool,
@@ -498,7 +524,7 @@ pub struct Hierarchy {
     /// Write-permission upgrades in flight, keyed by (core, line): a
     /// second store to the same line while one travels is subsumed by it
     /// instead of spawning a duplicate directory transaction.
-    pending_upgrades: std::collections::HashSet<(usize, LineAddr)>,
+    pending_upgrades: IntSet<(usize, LineAddr)>,
     /// Per-core second-level speculative-read filters; consulted only
     /// when `hermes.filter` is on, trained whenever it is.
     filters: Vec<SpecReadFilter>,
@@ -577,17 +603,19 @@ impl Hierarchy {
             prefetchers: (0..n).map(|_| pf::build(cfg.prefetcher)).collect(),
             predictors,
             pred_stats: vec![PredictorStats::default(); n],
-            loads: HashMap::new(),
+            loads: IntMap::default(),
             events: BinaryHeap::new(),
             seq: 0,
             finished: Vec::new(),
             stats: vec![CoreHierStats::default(); n],
             dram_buf: Vec::new(),
             pf_buf: Vec::new(),
+            waiter_bufs: Vec::new(),
             parked: (0..n).map(|_| ParkLists::default()).collect(),
+            wake_reads: Vec::new(),
             parked_any: false,
             now: 0,
-            pending_upgrades: std::collections::HashSet::new(),
+            pending_upgrades: IntSet::default(),
             filters: (0..n).map(|_| SpecReadFilter::new()).collect(),
             coh_tables: (0..n).map(|_| CohEventTable::new()).collect(),
             vm: cfg.vm.as_ref().map(|v| VmFrontend::new(v, n)),
@@ -964,8 +992,9 @@ impl Hierarchy {
     /// admit: every such read, then stores from the head until one would
     /// be rejected. The others stay parked without an attempt.
     fn wake(&mut self, core: usize, now: Cycle) {
-        let reads = std::mem::take(&mut self.parked[core].reads);
-        for (line, r) in reads {
+        let mut reads = std::mem::take(&mut self.wake_reads);
+        std::mem::swap(&mut reads, &mut self.parked[core].reads);
+        for &(line, r) in &reads {
             if self.first_rejects(core, line) {
                 self.parked[core].reads.push((line, r));
                 continue;
@@ -978,6 +1007,8 @@ impl Hierarchy {
             };
             debug_assert!(admitted, "admissible parked read rejected");
         }
+        reads.clear();
+        self.wake_reads = reads;
         while let Some(&(line, pc)) = self.parked[core].stores.front() {
             if self.first_rejects(core, line) {
                 break;
@@ -1023,10 +1054,13 @@ impl Hierarchy {
             dtlb_key: dkey,
             stlb_key: skey,
             page_number: pn,
-            steps: VecDeque::new(),
-            pwc_fill: Vec::new(),
+            steps: [LineAddr::default(); MAX_WALK_LEVELS],
+            next: 0,
+            len: 0,
+            pwc_fill: [0; MAX_WALK_LEVELS - 1],
+            pwc_len: 0,
             started: None,
-            waiters: Vec::new(),
+            waiters: vm.spare_waiters.pop().unwrap_or_default(),
         };
         if !vm.stlbs[slot].lookup(pn, skey) {
             stats.stlb_misses += 1;
@@ -1041,12 +1075,14 @@ impl Hierarchy {
                 }
             }
             stats.pwc_levels_skipped += start as u64;
-            walk.steps = (start..levels)
-                .map(|d| vm.map.pte_line(core, vaddr, d))
-                .collect();
-            walk.pwc_fill = (0..levels - 1)
-                .map(|d| PageMap::pwc_key(vaddr, d))
-                .collect();
+            for d in start..levels {
+                walk.steps[walk.len] = vm.map.pte_line(core, vaddr, d);
+                walk.len += 1;
+            }
+            for d in 0..levels - 1 {
+                walk.pwc_fill[d] = PageMap::pwc_key(vaddr, d);
+            }
+            walk.pwc_len = levels - 1;
             walk.started = Some(now);
         }
         let id = vm.next_walk;
@@ -1067,7 +1103,9 @@ impl Hierarchy {
         let (core, step) = {
             let vm = self.vm.as_mut().expect("walk without vm config");
             let w = vm.walks.get_mut(&walk).expect("advance of unknown walk");
-            (w.core, w.steps.pop_front())
+            let step = (w.next < w.len).then(|| w.steps[w.next]);
+            w.next += 1;
+            (w.core, step)
         };
         match step {
             Some(line) => {
@@ -1118,15 +1156,15 @@ impl Hierarchy {
     /// entries and releases every access (and pending Hermes issue) that
     /// waited for the PFN.
     fn complete_walk(&mut self, walk: u64, now: Cycle) {
-        let (core, waiters, started) = {
+        let (core, mut waiters, started) = {
             let vm = self.vm.as_mut().expect("walk without vm config");
             let w = vm.walks.remove(&walk).expect("completion of unknown walk");
             vm.by_page.remove(&(w.core, w.dtlb_key));
             vm.dtlbs[w.core].insert(w.page_number, w.dtlb_key);
             let slot = vm.stlb_slot(w.core);
             vm.stlbs[slot].insert(w.page_number, w.stlb_key);
-            for k in &w.pwc_fill {
-                vm.pwcs[w.core].insert(*k);
+            for &k in &w.pwc_fill[..w.pwc_len] {
+                vm.pwcs[w.core].insert(k);
             }
             if let Some(t0) = w.started {
                 let s = &mut self.stats[w.core];
@@ -1142,7 +1180,7 @@ impl Hierarchy {
                 p.record_walk_latency(now - t0);
             }
         }
-        for wtr in waiters {
+        for &wtr in &waiters {
             match wtr {
                 TransWaiter::Load {
                     token,
@@ -1162,6 +1200,12 @@ impl Hierarchy {
                 TransWaiter::Store { pc, pline } => self.store_first(core, pline, pc, now),
             }
         }
+        waiters.clear();
+        self.vm
+            .as_mut()
+            .expect("walk without vm config")
+            .spare_waiters
+            .push(waiters);
     }
 
     /// Demand (or walker) lookup at an intermediate level
@@ -1612,21 +1656,41 @@ impl Hierarchy {
         if self.coh_fill_allowed(line) {
             self.fill_mid(level, core, line, false, now);
         }
-        let completed = self.levels[level].mshr_complete(core, line);
+        let (waiters, completed) = self.complete_mshr(level, core, line);
         debug_assert!(
             completed.is_some(),
             "level {level} path completion without MSHR entry"
         );
-        if let Some((waiters, _)) = completed {
-            for w in waiters {
-                match w {
-                    Waiter::Merge { core: c } => {
-                        self.fill_and_resume(level - 1, c, line, served, coh_served, now)
-                    }
-                    _ => debug_assert!(false, "non-merge waiter at intermediate level"),
+        for &w in &waiters {
+            match w {
+                Waiter::Merge { core: c } => {
+                    self.fill_and_resume(level - 1, c, line, served, coh_served, now)
                 }
+                _ => debug_assert!(false, "non-merge waiter at intermediate level"),
             }
         }
+        self.recycle_waiters(waiters);
+    }
+
+    /// Completes `core`'s MSHR entry for `line` at `level` (see
+    /// [`CacheLevel::mshr_complete`]), moving its waiters into a buffer
+    /// from the pool; hand the buffer back with
+    /// [`Hierarchy::recycle_waiters`] once they are resumed.
+    fn complete_mshr(
+        &mut self,
+        level: usize,
+        core: usize,
+        line: LineAddr,
+    ) -> (Vec<Waiter>, Option<bool>) {
+        let mut waiters = self.waiter_bufs.pop().unwrap_or_default();
+        let prefetch_only = self.levels[level].mshr_complete(core, line, &mut waiters);
+        (waiters, prefetch_only)
+    }
+
+    /// Returns a completion's waiter list, emptied, to the buffer pool.
+    fn recycle_waiters(&mut self, mut waiters: Vec<Waiter>) {
+        waiters.clear();
+        self.waiter_bufs.push(waiters);
     }
 
     /// Fills `core`'s first level and completes all waiters registered in
@@ -1639,9 +1703,11 @@ impl Hierarchy {
         mut coh_served: bool,
         now: Cycle,
     ) {
-        let Some((waiters, _)) = self.levels[0].mshr_complete(core, line) else {
+        let (waiters, completed) = self.complete_mshr(0, core, line);
+        if completed.is_none() {
+            self.recycle_waiters(waiters);
             return;
-        };
+        }
         let store_pc = waiters.iter().find_map(|w| match w {
             Waiter::Request {
                 is_store: true, pc, ..
@@ -1691,7 +1757,7 @@ impl Hierarchy {
                 self.coh_tables[core].clear_line(line);
             }
         }
-        for w in waiters {
+        for &w in &waiters {
             match w {
                 Waiter::Request {
                     token: Some(tok), ..
@@ -1701,6 +1767,7 @@ impl Hierarchy {
                 _ => {}
             }
         }
+        self.recycle_waiters(waiters);
     }
 
     fn handle_dram_completion(&mut self, c: Completion, now: Cycle) {
@@ -1708,7 +1775,8 @@ impl Hierarchy {
             p.on_line_event(c.line.raw(), now, "dram_fill");
         }
         let last = self.last();
-        if let Some((waiters, prefetch_only)) = self.levels[last].mshr_complete(0, c.line) {
+        let (waiters, completed) = self.complete_mshr(last, 0, c.line);
+        if let Some(prefetch_only) = completed {
             let sig = waiters
                 .iter()
                 .find_map(|w| match w {
@@ -1717,7 +1785,7 @@ impl Hierarchy {
                 })
                 .unwrap_or(0);
             self.fill_last(c.line, false, prefetch_only, sig, now, false);
-            for w in waiters {
+            for &w in &waiters {
                 if let Waiter::Demand { core, .. } = w {
                     self.fill_and_resume(last - 1, core, c.line, ServedBy::Dram, false, now);
                 }
@@ -1730,6 +1798,7 @@ impl Hierarchy {
                 "unmatched DRAM completion that is not a dropped Hermes read"
             );
         }
+        self.recycle_waiters(waiters);
     }
 
     fn handle_event(&mut self, ev: Ev, now: Cycle) {

@@ -7,6 +7,14 @@
 //! XOR-fold to the table's index width ([`fold_bits`]). These functions are
 //! deterministic, allocation-free, and shared by POPET, the perceptron
 //! branch predictor, SHiP signatures, and prefetcher table indexing.
+//!
+//! [`IntHasher`] puts the same finalizer behind [`std::hash::Hasher`] for
+//! the simulator's in-flight maps ([`IntMap`], [`IntSet`]), whose keys
+//! are integers or small tuples of them: one splitmix64 finalizer per key
+//! word instead of SipHash, and the same layout on every run.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Finalizes a 64-bit value into a well-mixed 64-bit hash.
 ///
@@ -90,6 +98,55 @@ pub fn shifted_xor(values: &[u64], shift_per_element: u32) -> u64 {
     acc
 }
 
+/// A deterministic [`Hasher`] for integer keys: every word written is
+/// folded into the state with [`mix64`].
+///
+/// Meant for maps keyed by sequence numbers, line addresses, or small
+/// tuples of those. It is not DoS-resistant: a trace crafted against it
+/// could at worst slow a run down, never change its result.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// A `HashMap` hashed with [`IntHasher`]; build it with `default()`.
+///
+/// # Example
+///
+/// ```
+/// use hermes_types::IntMap;
+/// let mut m: IntMap<u64, &str> = IntMap::default();
+/// m.insert(7, "seven");
+/// assert_eq!(m[&7], "seven");
+/// ```
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A `HashSet` hashed with [`IntHasher`]; build it with `default()`.
+pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,5 +200,36 @@ mod tests {
     #[test]
     fn shifted_xor_empty_is_zero() {
         assert_eq!(shifted_xor(&[], 3), 0);
+    }
+
+    fn int_hash<T: std::hash::Hash>(v: T) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<IntHasher>::default().hash_one(v)
+    }
+
+    #[test]
+    fn int_hasher_is_deterministic_and_separates_tuples() {
+        assert_eq!(int_hash(42u64), int_hash(42u64));
+        assert_eq!(int_hash(42u64), mix64(42));
+        // Keys differing only above bit 32 must differ in the low bits
+        // the table indexes by.
+        assert_ne!(int_hash(1u64 << 48) & 0xFFFF, int_hash(2u64 << 48) & 0xFFFF);
+        // Tuple order matters.
+        assert_ne!(int_hash((1usize, 2u64)), int_hash((2usize, 1u64)));
+    }
+
+    #[test]
+    fn int_map_round_trips() {
+        let mut m: IntMap<(usize, u64), u32> = IntMap::default();
+        for c in 0..4usize {
+            for k in 0..1000u64 {
+                m.insert((c, k), (c as u32) * 1000 + k as u32);
+            }
+        }
+        assert_eq!(m.len(), 4000);
+        assert_eq!(m[&(3, 999)], 3999);
+        let mut s: IntSet<u64> = IntSet::default();
+        assert!(s.insert(5));
+        assert!(!s.insert(5));
     }
 }

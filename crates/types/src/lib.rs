@@ -4,7 +4,8 @@
 //! [`VirtAddr`] / [`PhysAddr`] / [`LineAddr`] newtypes with cache-line and
 //! page arithmetic, saturating counters used by perceptron weights and
 //! branch/replacement predictors, the hashing helpers used to index
-//! perceptron weight tables, and small summary-statistics utilities used by
+//! perceptron weight tables (and to hash the simulator's in-flight maps),
+//! and small summary-statistics utilities used by
 //! the experiment harness (geometric means, box-plot summaries).
 //!
 //! # Example
@@ -28,7 +29,7 @@ pub use addr::{
     SHARED_SIZE,
 };
 pub use counter::{SatCounter, SatWeight};
-pub use hashing::{fold_bits, hash_index, mix64};
+pub use hashing::{fold_bits, hash_index, mix64, IntHasher, IntMap, IntSet};
 pub use hist::{Hist, HIST_BUCKETS};
 pub use summary::{geomean, mean, BoxplotSummary};
 

@@ -48,6 +48,6 @@ pub mod tlb;
 pub mod walk_cache;
 
 pub use config::{TlbConfig, VmConfig};
-pub use page_map::{PageMap, HUGE_PAGE_BITS, HUGE_PAGE_SIZE, PT_LEVEL_BITS};
+pub use page_map::{PageMap, HUGE_PAGE_BITS, HUGE_PAGE_SIZE, MAX_WALK_LEVELS, PT_LEVEL_BITS};
 pub use tlb::Tlb;
 pub use walk_cache::WalkCache;

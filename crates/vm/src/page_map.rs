@@ -26,6 +26,10 @@ pub const HUGE_PAGE_SIZE: usize = 1 << HUGE_PAGE_BITS;
 /// Radix bits per page-table level.
 pub const PT_LEVEL_BITS: u32 = 9;
 
+/// Radix levels of a 4 KB-page walk, the deepest walk the page table
+/// has (x86-64's four-level table).
+pub const MAX_WALK_LEVELS: usize = 4;
+
 /// Bits of physical frame number space, matching the historical stateless
 /// translation (2^36 frames = 256 TB).
 const FRAME_BITS: u32 = 36;
@@ -107,12 +111,12 @@ impl PageMap {
     }
 
     /// Radix levels a walk for this page size traverses (the leaf PTE of
-    /// a 2 MB page sits one level higher).
+    /// a 2 MB page sits one level higher); at most [`MAX_WALK_LEVELS`].
     pub fn walk_levels(huge: bool) -> usize {
         if huge {
-            3
+            MAX_WALK_LEVELS - 1
         } else {
-            4
+            MAX_WALK_LEVELS
         }
     }
 

@@ -705,8 +705,9 @@ fn mshr_rejected_accesses_are_not_charged_as_l1_traffic() {
 
 #[test]
 fn fast_forward_is_cycle_exact_with_coherence() {
-    // 4 coherent cores flood the L1 MSHRs, so the retry queue holds
-    // thousands of parked accesses; the 2-core coherence + vm + POPET
+    // 4 coherent cores flood the L1 MSHRs, so rejected first-level
+    // accesses park and wake on level changes (the parked store FIFO
+    // grows to thousands of entries); the 2-core coherence + vm + POPET
     // mix stresses quiescence (page walks, upgrades and speculative
     // reads in flight at once). Fast-forward must not move any
     // statistic: the comparison is the full `Debug` rendering.

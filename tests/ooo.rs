@@ -229,3 +229,43 @@ fn deeper_rob_buys_mlp_under_ooo() {
         "512-entry ROB not faster than 32-entry on pagerank: {big} !< {small}"
     );
 }
+
+/// Digests of a 200-entry ROB (1 core, Hermes-O/POPET, warmup 3 000 /
+/// measure 8 000), pinned when both cores still kept their window in a
+/// `VecDeque` of exactly that length. The ROB ring rounds 200 up to 256
+/// slots; dispatch must still stop at 200. The `ooo-rs256` scheduler is
+/// larger than the window, so the ROB is what fills (`robsum` is
+/// 200 × cycles on both traces).
+const GOLDEN_ROB200: &[(&str, usize, &str)] = &[
+    ("legacy", 0, "total_cycles=329550;[smoke-chase cyc=329550 ret=8000 ld=2000 st=0 br=2000 bm=0 l1=0 l2=0 llc=34 dram=1966 ob=1966 onb=0 sco=321748 scl=1802 sso=6000 erc=0 hreq=2000 tp=1966 fp=34 fn=0 tn=0 robsum=0 rsfull=0 lsqfull=0 fwd=0 flush=0];dram[rd=0 rp=1005 rh=2000 w=0 hit=836 empty=0 conf=2169]"),
+    ("legacy", 3, "total_cycles=67568;[smoke-pagerank cyc=67568 ret=8000 ld=4840 st=496 br=496 bm=0 l1=920 l2=217 llc=717 dram=2986 ob=1220 onb=1766 sco=58731 scl=0 sso=8837 erc=0 hreq=4474 tp=2949 fp=1516 fn=77 tn=349 robsum=0 rsfull=0 lsqfull=0 fwd=0 flush=0];dram[rd=3 rp=1009 rh=2206 w=0 hit=362 empty=0 conf=2856]"),
+    ("ooo", 0, "total_cycles=329550;[smoke-chase cyc=329550 ret=8000 ld=2000 st=0 br=2000 bm=0 l1=0 l2=0 llc=34 dram=1966 ob=1966 onb=0 sco=321748 scl=1802 sso=6000 erc=0 hreq=2000 tp=1966 fp=34 fn=0 tn=0 robsum=32301900 rsfull=329550 lsqfull=0 fwd=0 flush=0];dram[rd=0 rp=1005 rh=2000 w=0 hit=836 empty=0 conf=2169]"),
+    ("ooo", 3, "total_cycles=133562;[smoke-pagerank cyc=133562 ret=8000 ld=4837 st=496 br=496 bm=0 l1=2550 l2=221 llc=742 dram=1324 ob=1303 onb=21 sco=107315 scl=17063 sso=8687 erc=0 hreq=1875 tp=1298 fp=577 fn=26 tn=2936 robsum=15633507 rsfull=133217 lsqfull=0 fwd=0 flush=0];dram[rd=10 rp=951 rh=1872 w=0 hit=568 empty=0 conf=2265]"),
+    ("ooo-rs256", 0, "total_cycles=329550;[smoke-chase cyc=329550 ret=8000 ld=2000 st=0 br=2000 bm=0 l1=0 l2=0 llc=34 dram=1966 ob=1966 onb=0 sco=321748 scl=1802 sso=6000 erc=0 hreq=2000 tp=1966 fp=34 fn=0 tn=0 robsum=65910000 rsfull=0 lsqfull=0 fwd=0 flush=0];dram[rd=0 rp=1005 rh=2000 w=0 hit=836 empty=0 conf=2169]"),
+    ("ooo-rs256", 3, "total_cycles=133562;[smoke-pagerank cyc=133562 ret=8000 ld=4837 st=496 br=496 bm=0 l1=2550 l2=221 llc=742 dram=1324 ob=1303 onb=21 sco=107315 scl=17063 sso=8687 erc=0 hreq=1875 tp=1298 fp=577 fn=26 tn=2936 robsum=26712400 rsfull=0 lsqfull=0 fwd=0 flush=0];dram[rd=10 rp=951 rh=1872 w=0 hit=568 empty=0 conf=2265]"),
+];
+
+#[test]
+fn non_power_of_two_rob_matches_pinned_digests() {
+    let smoke = suite::smoke_suite();
+    for &(model, wi, golden) in GOLDEN_ROB200 {
+        let cfg = match model {
+            "legacy" => SystemConfig::baseline_1c(),
+            "ooo" => ooo(SystemConfig::baseline_1c()),
+            "ooo-rs256" => SystemConfig::baseline_1c().with_core_model(CoreModel::OoO(OooConfig {
+                rs_entries: 256,
+                ..OooConfig::baseline()
+            })),
+            _ => unreachable!("unknown model tag {model}"),
+        }
+        .with_rob(200)
+        .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+        let r = run_one(cfg, &smoke[wi], 3_000, 8_000);
+        assert_eq!(
+            digest(&r),
+            golden,
+            "200-entry ROB diverged: {model}/{}",
+            smoke[wi].name
+        );
+    }
+}

@@ -61,9 +61,11 @@ proptest! {
             }
             prop_assert!(t.in_use() <= 4);
         }
+        let mut got = Vec::new();
         for (line, ws) in expected {
-            let (got, _) = t.complete(LineAddr::new(line)).expect("entry present");
-            prop_assert_eq!(got, ws);
+            got.clear();
+            t.complete(LineAddr::new(line), &mut got).expect("entry present");
+            prop_assert_eq!(&got, &ws);
         }
         prop_assert_eq!(t.in_use(), 0);
     }
